@@ -3,7 +3,7 @@
    A. LP solver variant: the paper's LP has per-variable bounds; we
       measure explicit bound rows (dense two-phase simplex) against
       the bounded-variable simplex on the hard (Class C) subgraphs.
-   B. Static solver on the time-expanded network: Edmonds-Karp vs
+   B. Classical max-flow solver on the time-expanded network: Edmonds-Karp vs
       Dinic vs push-relabel (the PTIME route of Section 4.2.1).
    C. Path-table maintenance: full precomputation vs delta updates
       (the paper's footnote-2 suggestion) for a batch of fresh
@@ -106,13 +106,13 @@ let delta_ablation datasets =
     List.map
       (fun d ->
         let net = d.Workload.net in
-        let n = Static.n_vertices net in
+        let n = Compact.n_vertices net in
         let additions =
           List.init 100 (fun _ ->
               let s = Prng.int rng n and t = Prng.int rng n in
               let t = if t = s then (t + 1) mod n else t in
-              ( Static.label net s,
-                Static.label net t,
+              ( Compact.label net s,
+                Compact.label net t,
                 [
                   Interaction.make
                     ~time:(Prng.float rng 1_000_000.0)

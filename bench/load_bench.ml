@@ -6,7 +6,7 @@
 
    Per dataset the generated network is dumped once as CSV and once as
    a .tinb snapshot into temp files, then each format is loaded [reps]
-   times through the auto-detecting [Io.load_compact]; the minimum
+   times through the auto-detecting [Io.load]; the minimum
    wall time is reported (minimum is the stable statistic for
    load-path timing).  The two loads must reconstruct equal
    substrates.  Peak RSS is the max-tracking [runtime_peak_rss_bytes]
@@ -44,8 +44,8 @@ let time_best ~reps f =
 
 let measure ~reps (d : Workload.dataset) =
   let name = d.Workload.spec.Tin_datasets.Spec.name in
-  let g = Static.to_graph d.Workload.net in
-  let c0 = Compact.of_graph g in
+  let c0 = d.Workload.net in
+  let g = Compact.to_graph c0 in
   let csv = Filename.temp_file "tinflow_load" ".csv" in
   let snap = Filename.temp_file "tinflow_load" ".tinb" in
   Fun.protect
@@ -55,8 +55,8 @@ let measure ~reps (d : Workload.dataset) =
     (fun () ->
       Io.save_csv csv g;
       Snapshot.save snap c0;
-      let c_csv, csv_parse_ms = time_best ~reps (fun () -> Io.load_compact csv) in
-      let c_snap, snapshot_load_ms = time_best ~reps (fun () -> Io.load_compact snap) in
+      let c_csv, csv_parse_ms = time_best ~reps (fun () -> Io.load csv) in
+      let c_snap, snapshot_load_ms = time_best ~reps (fun () -> Io.load snap) in
       (* Equality is part of the benchmark contract: a faster loader
          that reconstructs a different network is a bug, not a win. *)
       if not (Compact.equal c_csv c0) then failwith ("CSV round-trip drift on " ^ name);

@@ -919,7 +919,7 @@ let generate_cmd =
         | `Prosper -> Tin_datasets.Spec.prosper)
     in
     let net = Tin_datasets.Generator.generate ~seed spec in
-    Io.save_csv out (Static.to_graph net);
+    Io.save_csv out (Compact.to_graph net);
     let s = Tin_datasets.Generator.stats net in
     Printf.printf "wrote %s: %d vertices, %d edges, %d interactions\n" out
       s.Tin_datasets.Generator.n_vertices s.Tin_datasets.Generator.n_edges
@@ -952,7 +952,7 @@ let convert_cmd =
     setup_logs ();
     with_obs ~cmd:"convert" obs @@ fun () ->
     or_parse_error @@ fun () ->
-    let c = Io.load_compact input in
+    let c = Io.load input in
     let summary fmt =
       Printf.printf "wrote %s: %d vertices, %d edges, %d interactions%s\n" output
         (Compact.n_vertices c) (Compact.n_edges c) (Compact.n_interactions c) fmt
@@ -962,16 +962,10 @@ let convert_cmd =
         Snapshot.save output c;
         summary (Printf.sprintf " (snapshot v%d)" Snapshot.version);
         0
-    | ".csv" -> (
-        match Compact.to_graph c with
-        | g ->
-            Io.save_csv output g;
-            summary "";
-            0
-        | exception Invalid_argument _ ->
-            prerr_endline
-              "tinflow: cannot write CSV: the snapshot contains self-loop interactions";
-            1)
+    | ".csv" ->
+        Io.save_csv output (Compact.to_graph c);
+        summary "";
+        0
     | ext ->
         Printf.eprintf "tinflow: unknown output format %S (expected .tinb or .csv)\n" ext;
         2

@@ -136,7 +136,7 @@ let create ?(base = Graph.empty) ?(on_alert = fun _ -> ()) config =
       dirty = false;
       stream_last = neg_infinity;
       evict_from = neg_infinity;
-      delta = Delta.create ~with_chains (Static.of_graph base);
+      delta = Delta.create ~with_chains (Compact.of_graph base);
       pending = [];
       since_tick = 0;
       accepted = 0;

@@ -18,18 +18,23 @@ type problem = {
   n_interactions : int;
 }
 
-val subgraph_of_seed : Static.t -> seed:Static.vertex -> max_interactions:int -> problem option
+val subgraph_of_seed : Compact.t -> seed:Compact.vertex -> max_interactions:int -> problem option
 (** [None] when the seed lies on no short cycle or the subgraph is too
     large. *)
 
 val extract :
   ?max_interactions:int ->
   ?max_subgraphs:int ->
-  Static.t ->
+  Compact.t ->
   problem list
-(** All seed subgraphs of the network, in increasing seed order
-    (deterministic).  Defaults: [max_interactions = 2000] (scaled-down
-    counterpart of the paper's 10K cap), [max_subgraphs = max_int]. *)
+(** All seed subgraphs of the network, in increasing seed order.
+    Compact vertex ids are raw-label ranks, so seeds are visited in
+    ascending label order for every input format — a capped
+    [max_subgraphs] run keeps the same seeds whether the network was
+    loaded from CSV or from its [.tinb] snapshot.  Defaults:
+    [max_interactions = 2000] (scaled-down counterpart of the paper's
+    10K cap), [max_subgraphs = max_int].
+    @raise Invalid_argument if the network has a self-loop. *)
 
 type summary = {
   n_subgraphs : int;

@@ -6,7 +6,7 @@
     time-increasing interactions (so that cyclic flow is realisable,
     not just structural), and log-normal quantities. *)
 
-val generate : seed:int -> Spec.t -> Static.t
+val generate : seed:int -> Spec.t -> Compact.t
 (** Same seed, same spec ⇒ identical network. *)
 
 type stats = {
@@ -16,4 +16,4 @@ type stats = {
   avg_qty : float;  (** Mean interaction quantity — Table 4's "avg. flow". *)
 }
 
-val stats : Static.t -> stats
+val stats : Compact.t -> stats

@@ -266,6 +266,18 @@ let iter_grouped t f =
     done
   done
 
+let edges_to_graph t eids =
+  let seen = Hashtbl.create 16 in
+  List.fold_left
+    (fun g e ->
+      if Hashtbl.mem seen e then g
+      else begin
+        Hashtbl.add seen e ();
+        Graph.add_edge g ~src:t.labels.(t.edge_src.(e)) ~dst:t.labels.(t.edge_dst.(e))
+          (edge_interactions t e)
+      end)
+    Graph.empty eids
+
 let to_graph t =
   let g = ref Graph.empty in
   Array.iter (fun l -> g := Graph.add_vertex !g l) t.labels;

@@ -53,6 +53,11 @@ val to_graph : t -> Graph.t
     @raise Invalid_argument if the substrate contains a self-loop
     ({!Graph.t} cannot represent one). *)
 
+val edges_to_graph : t -> edge_id list -> Graph.t
+(** Persistent subgraph induced by a set of edges (raw labels);
+    duplicate ids are harmless.  This is how extraction and pattern
+    instances hand a small subgraph to the flow pipeline. *)
+
 val equal : t -> t -> bool
 (** Structural equality: same labels and identical interaction columns
     (exact float comparison).  Because every constructor canonicalises

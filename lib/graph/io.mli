@@ -8,10 +8,15 @@
     - the versioned binary snapshot of {!Snapshot} ([.tinb]),
       recognised by its magic bytes regardless of extension.
 
-    The format-agnostic loaders ({!load}, {!load_graph},
-    {!load_compact}) sniff the first four bytes and dispatch; the
-    [_csv_] variants parse CSV only.  [tinflow convert] produces
-    snapshots from CSV and vice versa.
+    The format-agnostic loaders ({!load}, {!load_graph}) sniff the
+    first four bytes and dispatch; the [_csv_] variants parse CSV only.
+    [tinflow convert] produces snapshots from CSV and vice versa.
+
+    {!load} compiles either format into the one flat substrate,
+    {!Compact}: vertex ids are ranks of the raw labels, so every
+    consumer (seed extraction, pattern anchors, the daemon's tables)
+    visits vertices in ascending label order whether the network came
+    from a CSV or from its [.tinb] snapshot.
 
     The CSV parser is strict: every malformed row is reported with
     file, line and column; NaN, infinite and negative timestamps or
@@ -47,39 +52,28 @@ val interactions_of_channel : in_channel -> (int * int * Interaction.t) list
 (** Exception-raising wrapper of {!parse_channel}.
     @raise Parse_error on malformed input. *)
 
-val load_csv_result : string -> (Static.t, error) result
-(** Loads a CSV file into a compiled network. *)
-
 val load_csv_graph_result : string -> (Graph.t, error) result
-
-val load_csv : string -> Static.t
-(** @raise Parse_error on malformed input. *)
 
 val load_csv_graph : string -> Graph.t
 (** @raise Parse_error on malformed input. *)
 
-val load_result : string -> (Static.t, error) result
-(** Format-agnostic load into a compiled network: [.tinb] snapshots by
-    magic sniffing ({!Snapshot.sniff}), CSV otherwise. *)
+val load_result : string -> (Compact.t, error) result
+(** Format-agnostic load into the compiled network: [.tinb] snapshots
+    by magic sniffing ({!Snapshot.sniff}) deserialise straight into
+    it; CSV entries are compiled with {!Compact.of_entries}.  Vertex
+    ids are raw-label ranks for both formats.  Snapshots containing
+    self-loop interactions (which the CSV parser skips) are reported
+    as errors. *)
 
 val load_graph_result : string -> (Graph.t, error) result
 (** Format-agnostic load into a persistent graph.  Snapshots containing
     self-loops (which {!Graph.t} cannot represent) are reported as
-    errors, matching the CSV parser's self-loop policy of skipping
-    being inapplicable to an already-compiled substrate. *)
+    errors, as in {!load_result}. *)
 
-val load_compact_result : string -> (Compact.t, error) result
-(** Format-agnostic load into the flat substrate — the cheapest target
-    for both formats (snapshots deserialise straight into it; CSV
-    entries are compiled without building a persistent graph). *)
-
-val load : string -> Static.t
+val load : string -> Compact.t
 (** @raise Parse_error on malformed input (either format). *)
 
 val load_graph : string -> Graph.t
-(** @raise Parse_error on malformed input (either format). *)
-
-val load_compact : string -> Compact.t
 (** @raise Parse_error on malformed input (either format). *)
 
 val save_csv : string -> Graph.t -> unit

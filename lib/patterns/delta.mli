@@ -18,12 +18,12 @@
     suite, and the speed difference by the [ablation] benchmark. *)
 
 type t = private {
-  net : Static.t;
+  net : Compact.t;
   tables : Catalog.tables;
   rows_recomputed : int;  (** Across all [apply] calls so far. *)
 }
 
-val create : ?with_chains:bool -> Static.t -> t
+val create : ?with_chains:bool -> Compact.t -> t
 (** Initial precomputation (delegates to {!Catalog.precompute}). *)
 
 val apply : t -> additions:(int * int * Interaction.t list) list -> t

@@ -94,9 +94,13 @@ let random_lemma2 ?(max_v = 8) ?(max_inter = 3) rng =
   done;
   (!g, 0, sink)
 
-(* A random small Static network with reciprocal edges for pattern
+(* Compiles [(src, dst, interactions)] triples, one list per edge. *)
+let compact_of_list edges =
+  Compact.of_entries (List.concat_map (fun (s, d, is) -> List.map (fun i -> (s, d, i)) is) edges)
+
+(* A random small compiled network with reciprocal edges for pattern
    tests. *)
-let random_static ?(n = 12) ?(edges = 30) ?(max_inter = 2) rng =
+let random_compact ?(n = 12) ?(edges = 30) ?(max_inter = 2) rng =
   let acc = ref [] in
   for _ = 1 to edges do
     let i = Prng.int rng n and j = Prng.int rng n in
@@ -123,9 +127,9 @@ let random_static ?(n = 12) ?(edges = 30) ?(max_inter = 2) rng =
       end
     end
   done;
-  (* Guarantee at least one edge so Static.of_list is non-trivial. *)
+  (* Guarantee at least one edge so the network is non-trivial. *)
   if !acc = [] then acc := [ (0, 1, [ Interaction.make ~time:1.0 ~qty:1.0 ]) ];
-  Static.of_list !acc
+  compact_of_list !acc
 
 (* Random valid pattern for DSL round-trip tests: a forward chain
    0→1→…→n-1 (so the enumeration-order and unique-sink requirements of

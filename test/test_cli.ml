@@ -389,8 +389,8 @@ let test_convert_roundtrip () =
       Alcotest.(check bool) "maximum line" true (contains out "maximum flow");
       let _ = check_ok "convert back to csv" (run_capture (Printf.sprintf "convert %s %s" snap back)) in
       (* Same network both ways: interaction counts agree. *)
-      let c_csv = Tin_graph.Io.load_compact csv in
-      let c_back = Tin_graph.Io.load_compact back in
+      let c_csv = Tin_graph.Io.load csv in
+      let c_back = Tin_graph.Io.load back in
       Alcotest.(check int) "interactions preserved"
         (Tin_graph.Compact.n_interactions c_csv)
         (Tin_graph.Compact.n_interactions c_back))

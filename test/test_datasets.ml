@@ -5,6 +5,8 @@ module Spec = Tin_datasets.Spec
 module Generator = Tin_datasets.Generator
 module Extract = Tin_datasets.Extract
 module Pipeline = Tin_core.Pipeline
+module Gen = Tin_testlib.Gen
+module Catalog = Tin_patterns.Catalog
 
 (* A small spec so tests run fast. *)
 let tiny =
@@ -27,15 +29,15 @@ let net = Generator.generate ~seed:7 tiny
 
 let test_generator_deterministic () =
   let a = Generator.generate ~seed:11 tiny and b = Generator.generate ~seed:11 tiny in
-  Alcotest.(check int) "same edges" (Static.n_edges a) (Static.n_edges b);
-  Alcotest.(check int) "same interactions" (Static.n_interactions a) (Static.n_interactions b);
+  Alcotest.(check int) "same edges" (Compact.n_edges a) (Compact.n_edges b);
+  Alcotest.(check int) "same interactions" (Compact.n_interactions a) (Compact.n_interactions b);
   let sa = Generator.stats a and sb = Generator.stats b in
   Alcotest.(check (float 1e-12)) "same avg qty" sa.Generator.avg_qty sb.Generator.avg_qty
 
 let test_generator_seed_matters () =
   let a = Generator.generate ~seed:1 tiny and b = Generator.generate ~seed:2 tiny in
   Alcotest.(check bool) "different networks" true
-    (Static.n_interactions a <> Static.n_interactions b
+    (Compact.n_interactions a <> Compact.n_interactions b
     || Generator.stats a <> Generator.stats b)
 
 let test_generator_shape () =
@@ -55,8 +57,8 @@ let test_generator_has_cycles () =
 let test_generator_hub_skew () =
   (* Zipf endpoints: the hottest vertex should see far more edges than
      the median vertex. *)
-  let n = Static.n_vertices net in
-  let deg = Array.init n (fun v -> Static.out_degree net v + Static.in_degree net v) in
+  let n = Compact.n_vertices net in
+  let deg = Array.init n (fun v -> Compact.out_degree net v + Compact.in_degree net v) in
   Array.sort compare deg;
   let hottest = deg.(n - 1) and median = deg.(n / 2) in
   Alcotest.(check bool) "skewed degrees" true (hottest > 5 * (max 1 median))
@@ -88,7 +90,7 @@ let test_extract_respects_caps () =
 let test_extract_none_for_acyclic_seed () =
   (* A pure DAG network has no cyclic seeds at all. *)
   let dag =
-    Static.of_list
+    Gen.compact_of_list
       [
         (0, 1, [ Interaction.make ~time:1.0 ~qty:1.0 ]);
         (1, 2, [ Interaction.make ~time:2.0 ~qty:1.0 ]);
@@ -98,7 +100,7 @@ let test_extract_none_for_acyclic_seed () =
 
 let test_extract_2cycle_seed () =
   let net2 =
-    Static.of_list
+    Gen.compact_of_list
       [
         (10, 20, [ Interaction.make ~time:1.0 ~qty:5.0 ]);
         (20, 10, [ Interaction.make ~time:2.0 ~qty:3.0 ]);
@@ -113,6 +115,34 @@ let test_extract_2cycle_seed () =
       Alcotest.(check (list (float 1e-9))) "cycle flows" [ 0.0; 3.0 ]
         (List.sort compare [ f1; f2 ])
   | other -> Alcotest.failf "expected 2 problems, got %d" (List.length other)
+
+let test_extract_rejects_self_loop () =
+  let net = Compact.of_entries [ (0, 0, Interaction.make ~time:1.0 ~qty:1.0) ] in
+  Alcotest.check_raises "self loop" (Invalid_argument "Extract.extract: self-loop") (fun () ->
+      ignore (Extract.extract net))
+
+(* Capped extraction and truncated pattern search must not depend on
+   the input format: a CSV and its [.tinb] snapshot compile to the same
+   vertex numbering, so the first seeds and anchors are the same. *)
+let test_capped_results_format_independent () =
+  let net = Generator.generate ~seed:42 (Spec.scaled ~factor:0.02 Spec.bitcoin) in
+  let csv = Filename.temp_file "tin_fmt" ".csv" and tinb = Filename.temp_file "tin_fmt" ".tinb" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ csv; tinb ])
+    (fun () ->
+      Io.save_csv csv (Compact.to_graph net);
+      Snapshot.save tinb (Io.load csv);
+      let from_csv = Io.load csv and from_tinb = Io.load tinb in
+      let seeds n = List.map (fun p -> p.Extract.seed) (Extract.extract ~max_subgraphs:50 n) in
+      Alcotest.(check (list int)) "capped extraction seeds" (seeds from_csv) (seeds from_tinb);
+      let p1 n =
+        let tables = Catalog.precompute ~with_chains:true n in
+        Catalog.pb ~limit:500 n tables (Catalog.Rigid Catalog.P1)
+      in
+      let a = p1 from_csv and b = p1 from_tinb in
+      Alcotest.(check bool) "P1 search truncated" true (a.Catalog.truncated && b.Catalog.truncated);
+      Alcotest.(check int) "P1 instances" a.Catalog.instances b.Catalog.instances;
+      Alcotest.(check (float 0.0)) "P1 total flow" a.Catalog.total_flow b.Catalog.total_flow)
 
 let test_summarize () =
   let problems = Extract.extract net in
@@ -149,6 +179,9 @@ let () =
           Alcotest.test_case "respects caps" `Quick test_extract_respects_caps;
           Alcotest.test_case "acyclic network" `Quick test_extract_none_for_acyclic_seed;
           Alcotest.test_case "2-cycle seed" `Quick test_extract_2cycle_seed;
+          Alcotest.test_case "self-loop rejected" `Quick test_extract_rejects_self_loop;
+          Alcotest.test_case "capped results format-independent" `Quick
+            test_capped_results_format_independent;
           Alcotest.test_case "summaries" `Quick test_summarize;
           Alcotest.test_case "specs sane" `Quick test_specs_sane;
         ] );

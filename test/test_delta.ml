@@ -14,7 +14,7 @@ let i_ t q = Interaction.make ~time:t ~qty:q
 let normalized net table =
   Array.to_list (Tables.rows table)
   |> List.map (fun r ->
-         ( Array.to_list (Array.map (Static.label net) r.Tables.verts),
+         ( Array.to_list (Array.map (Compact.label net) r.Tables.verts),
            r.Tables.flow ))
   |> List.sort compare
 
@@ -34,7 +34,7 @@ let check_state_matches_full msg (d : Delta.t) =
 
 let test_new_cycle_appears () =
   (* 0->1 exists; adding 1->0 creates the 2-cycle (both anchors). *)
-  let net = Static.of_list [ (0, 1, [ i_ 1.0 5.0 ]) ] in
+  let net = Gen.compact_of_list [ (0, 1, [ i_ 1.0 5.0 ]) ] in
   let d = Delta.create ~with_chains:true net in
   Alcotest.(check int) "no cycles yet" 0 (Tables.n_rows d.Delta.tables.Catalog.l2);
   let d = Delta.apply d ~additions:[ (1, 0, [ i_ 2.0 3.0 ]) ] in
@@ -43,7 +43,7 @@ let test_new_cycle_appears () =
 
 let test_existing_row_refreshed () =
   (* A second interaction on 0->1 changes the cycle's flow. *)
-  let net = Static.of_list [ (0, 1, [ i_ 1.0 5.0 ]); (1, 0, [ i_ 2.0 3.0 ]) ] in
+  let net = Gen.compact_of_list [ (0, 1, [ i_ 1.0 5.0 ]); (1, 0, [ i_ 2.0 3.0 ]) ] in
   let d = Delta.create net in
   let flow_before =
     (Tables.rows d.Delta.tables.Catalog.l2).(0).Tables.flow
@@ -55,7 +55,7 @@ let test_existing_row_refreshed () =
   check_state_matches_full "refresh" d;
   let row =
     Array.to_list (Tables.rows d.Delta.tables.Catalog.l2)
-    |> List.find (fun r -> Static.label d.Delta.net r.Tables.verts.(0) = 0)
+    |> List.find (fun r -> Compact.label d.Delta.net r.Tables.verts.(0) = 0)
   in
   Alcotest.(check (float 1e-9)) "updated flow" 5.0 row.Tables.flow;
   Alcotest.(check bool) "rows were recomputed" true (d.Delta.rows_recomputed > 0)
@@ -63,7 +63,7 @@ let test_existing_row_refreshed () =
 let test_untouched_rows_survive () =
   (* A disjoint cycle must not be recomputed. *)
   let net =
-    Static.of_list
+    Gen.compact_of_list
       [
         (0, 1, [ i_ 1.0 5.0 ]);
         (1, 0, [ i_ 2.0 3.0 ]);
@@ -78,7 +78,7 @@ let test_untouched_rows_survive () =
   Alcotest.(check int) "two rows recomputed" 2 d.Delta.rows_recomputed
 
 let test_new_vertices () =
-  let net = Static.of_list [ (0, 1, [ i_ 1.0 5.0 ]) ] in
+  let net = Gen.compact_of_list [ (0, 1, [ i_ 1.0 5.0 ]) ] in
   let d = Delta.create ~with_chains:true net in
   let d =
     Delta.apply d ~additions:[ (1, 7, [ i_ 2.0 4.0 ]); (7, 0, [ i_ 3.0 4.0 ]) ]
@@ -87,13 +87,19 @@ let test_new_vertices () =
   check_state_matches_full "new vertices" d
 
 let test_self_loop_rejected () =
-  let net = Static.of_list [ (0, 1, [ i_ 1.0 5.0 ]) ] in
+  let net = Gen.compact_of_list [ (0, 1, [ i_ 1.0 5.0 ]) ] in
   let d = Delta.create net in
   Alcotest.check_raises "self loop" (Invalid_argument "Delta.apply: self-loop addition")
     (fun () -> ignore (Delta.apply d ~additions:[ (2, 2, [ i_ 1.0 1.0 ]) ]))
 
+let test_self_loop_network_rejected () =
+  let net = Compact.of_entries [ (0, 0, i_ 1.0 1.0); (0, 1, i_ 2.0 1.0) ] in
+  match Delta.create net with
+  | _ -> Alcotest.fail "Delta.create accepted a self-loop"
+  | exception Invalid_argument _ -> ()
+
 let test_input_state_unchanged () =
-  let net = Static.of_list [ (0, 1, [ i_ 1.0 5.0 ]); (1, 0, [ i_ 2.0 3.0 ]) ] in
+  let net = Gen.compact_of_list [ (0, 1, [ i_ 1.0 5.0 ]); (1, 0, [ i_ 2.0 3.0 ]) ] in
   let d0 = Delta.create net in
   let rows_before = Tables.n_rows d0.Delta.tables.Catalog.l2 in
   let _ = Delta.apply d0 ~additions:[ (0, 2, [ i_ 1.0 1.0 ]); (2, 0, [ i_ 2.0 1.0 ]) ] in
@@ -102,7 +108,7 @@ let test_input_state_unchanged () =
 let prop_delta_equals_full rng =
   (* Random base network, random addition batches: after each batch
      the incremental tables equal a full precomputation. *)
-  let net = Gen.random_static ~n:8 ~edges:14 rng in
+  let net = Gen.random_compact ~n:8 ~edges:14 rng in
   let d = ref (Delta.create ~with_chains:true net) in
   let ok = ref true in
   for _ = 1 to 3 do
@@ -141,6 +147,7 @@ let () =
           Alcotest.test_case "untouched rows survive" `Quick test_untouched_rows_survive;
           Alcotest.test_case "new vertices" `Quick test_new_vertices;
           Alcotest.test_case "self-loop rejected" `Quick test_self_loop_rejected;
+          Alcotest.test_case "self-loop network rejected" `Quick test_self_loop_network_rejected;
           Alcotest.test_case "input state unchanged" `Quick test_input_state_unchanged;
           Check.seeded_property ~count:100 "delta = full rebuild" prop_delta_equals_full;
         ] );

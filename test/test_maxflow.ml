@@ -1,5 +1,5 @@
-(* Static max-flow substrate: residual networks, Edmonds-Karp, Dinic,
-   and the time-expanded reduction. *)
+(* Classical (non-temporal) max-flow substrate: residual networks,
+   Edmonds-Karp, Dinic, and the time-expanded reduction. *)
 
 open Tin_testlib
 module Net = Tin_maxflow.Net

@@ -188,18 +188,21 @@ let test_io_autodetect_ignores_extension () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       Snapshot.save path c;
-      Alcotest.check compact "load_compact" c (Io.load_compact path);
-      Alcotest.check Check.graph "load_graph" g (Io.load_graph path);
-      let net = Io.load path in
-      Alcotest.(check int) "load (static)" (Graph.n_interactions g) (Static.n_interactions net))
+      Alcotest.check compact "load" c (Io.load path);
+      Alcotest.check Check.graph "load_graph" g (Io.load_graph path))
 
 let test_io_load_graph_rejects_self_loop_snapshot () =
   let c = Compact.of_entries [ (3, 3, i_ 1.0 2.0) ] in
   with_snapshot c (fun path ->
-      (* The compact target accepts it... *)
-      Alcotest.(check bool) "load_compact ok" true
-        (Compact.equal c (Io.load_compact path));
-      (* ...the persistent-graph target cannot represent it. *)
+      (* The snapshot format accepts it... *)
+      Alcotest.(check bool) "snapshot load ok" true (Compact.equal c (Snapshot.load path));
+      (* ...neither the compiled nor the persistent-graph target does. *)
+      (match Io.load_result path with
+      | Ok _ -> Alcotest.fail "expected self-loop rejection from Io.load_result"
+      | Error e ->
+          Alcotest.(check int) "whole-file error (load)" 0 e.Io.line;
+          Alcotest.(check string) "load message" "snapshot contains self-loop interactions"
+            e.Io.message);
       match Io.load_graph_result path with
       | Ok _ -> Alcotest.fail "expected self-loop rejection"
       | Error e ->
@@ -220,9 +223,9 @@ let prop_io_csv_and_snapshot_agree rng =
       try Sys.remove snap with Sys_error _ -> ())
     (fun () ->
       Io.save_csv csv g;
-      let c = Io.load_compact csv in
+      let c = Io.load csv in
       Snapshot.save snap c;
-      Compact.equal (Io.load_compact csv) (Io.load_compact snap))
+      Compact.equal (Io.load csv) (Io.load snap))
 
 (* --- column validation (of_columns) --------------------------------- *)
 
