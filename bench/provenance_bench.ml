@@ -6,10 +6,9 @@
    and peak-entry counts are deterministic for the fixed seed, so the
    baseline also pins the memory-bounding behaviour.
 
-   Every scenario carries an exactness guard: the Graph.t and
-   Compact.t twins must produce identical vectors, totals, spill and
-   peak counts — the bench fails outright if the representations ever
-   diverge. *)
+   The rooted scenario carries an exactness guard: the total it
+   absorbs at the sink must equal Greedy.flow on the Graph.t bit for
+   bit — the bench fails outright otherwise. *)
 
 module Prov = Tin_core.Provenance
 module Greedy = Tin_core.Greedy
@@ -20,9 +19,8 @@ module Prng = Tin_util.Prng
 type result = {
   name : string;
   interactions : int;
-  scan_ms : float;  (* Graph.t representation *)
-  compact_scan_ms : float;
-  inter_per_s : float;  (* from the compact scan *)
+  scan_ms : float;
+  inter_per_s : float;
   spills : int;
   peak_entries : int;
 }
@@ -42,20 +40,17 @@ let make_graph ~n ~vertices rng =
   done;
   !g
 
-let scenario ~g ~c ~n name run_graph run_compact =
-  let r, scan_ms = Timer.time_ms (fun () -> run_graph g) in
-  let rc, compact_scan_ms = Timer.time_ms (fun () -> run_compact c) in
-  if r <> rc then
-    failwith (Printf.sprintf "provenance bench: %s diverges between Graph and Compact" name);
-  {
-    name;
-    interactions = n;
-    scan_ms;
-    compact_scan_ms;
-    inter_per_s = float_of_int n /. (compact_scan_ms /. 1000.0);
-    spills = r.Prov.spills;
-    peak_entries = r.Prov.peak_entries;
-  }
+let scenario ~c ~n name run =
+  let r, scan_ms = Timer.time_ms (fun () -> run c) in
+  ( r,
+    {
+      name;
+      interactions = n;
+      scan_ms;
+      inter_per_s = float_of_int n /. (scan_ms /. 1000.0);
+      spills = r.Prov.spills;
+      peak_entries = r.Prov.peak_entries;
+    } )
 
 let json_escape = Tin_util.Json.escape
 let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
@@ -75,7 +70,6 @@ let write_json path ~scale_name results =
       add "      \"spills\": %d,\n" r.spills;
       add "      \"peak_entries\": %d,\n" r.peak_entries;
       add "      \"scan_ms\": %s,\n" (json_float r.scan_ms);
-      add "      \"compact_scan_ms\": %s,\n" (json_float r.compact_scan_ms);
       add "      \"inter_per_s\": %s\n" (json_float r.inter_per_s);
       add "    }%s\n" (if i < List.length results - 1 then "," else ""))
     results;
@@ -94,29 +88,25 @@ let run ?(json = "BENCH_provenance.json") ~scale_name ~quick () =
   let policies = [ Prov.Lrb; Prov.Mrb; Prov.Proportional ] in
   let open_world =
     List.map
-      (fun p ->
-        scenario ~g ~c ~n (Prov.policy_name p)
-          (Prov.run ~policy:p ~absorb:sink)
-          (Prov.run_compact ~policy:p ~absorb:sink))
+      (fun p -> snd (scenario ~c ~n (Prov.policy_name p) (Prov.run ~policy:p ~absorb:sink)))
       policies
   in
-  let rooted =
-    scenario ~g ~c ~n "prop-rooted"
-      (Prov.run ~policy:Prov.Proportional ~source ~absorb:sink)
-      (Prov.run_compact ~policy:Prov.Proportional ~source ~absorb:sink)
+  let rooted_r, rooted =
+    scenario ~c ~n "prop-rooted" (Prov.run ~policy:Prov.Proportional ~source ~absorb:sink)
   in
   (* The no-attribution floor: the plain greedy scalar scan over the
-     same substrate, for the overhead column. *)
-  let greedy_v, greedy_ms =
-    Timer.time_ms (fun () -> Greedy.flow_compact c ~source ~sink)
-  in
-  ignore greedy_v;
+     Graph.t, for the overhead column — and the exactness guard. *)
+  let greedy_v, greedy_ms = Timer.time_ms (fun () -> Greedy.flow g ~source ~sink) in
+  let absorbed = List.assoc sink rooted_r.Prov.totals in
+  if not (Float.equal absorbed greedy_v) then
+    failwith
+      (Printf.sprintf "provenance bench: prop-rooted absorbs %.17g but Greedy.flow is %.17g"
+         absorbed greedy_v);
   let greedy_row =
     {
       name = "greedy-baseline";
       interactions = n;
       scan_ms = greedy_ms;
-      compact_scan_ms = greedy_ms;
       inter_per_s = float_of_int n /. (greedy_ms /. 1000.0);
       spills = 0;
       peak_entries = 0;
@@ -132,9 +122,9 @@ let run ?(json = "BENCH_provenance.json") ~scale_name ~quick () =
        (fun r ->
          [
            r.name;
-           Printf.sprintf "%.1f" r.compact_scan_ms;
+           Printf.sprintf "%.1f" r.scan_ms;
            Printf.sprintf "%.0f" r.inter_per_s;
-           Printf.sprintf "%.1fx" (r.compact_scan_ms /. greedy_ms);
+           Printf.sprintf "%.1fx" (r.scan_ms /. greedy_ms);
            string_of_int r.spills;
            string_of_int r.peak_entries;
          ])

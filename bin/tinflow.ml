@@ -510,13 +510,13 @@ let provenance_cmd =
   let run file source sink policy top budget obs =
     setup_logs ();
     with_obs ~cmd:"provenance" obs @@ fun () ->
-    let g = load_graph file in
-    if not (Graph.mem_vertex g sink) then begin
+    let net = load_net file in
+    if Compact.vertex_of_label net sink = None then begin
       Printf.eprintf "tinflow provenance: vertex %d is not in the network\n" sink;
       1
     end
     else begin
-      let r = Prov.run ~policy ~budget ?source ~absorb:sink g in
+      let r = Prov.run ~policy ~budget ?source ~absorb:sink net in
       let total = List.assoc sink r.Prov.totals in
       let vec = List.assoc sink r.Prov.vectors in
       Printf.printf "provenance of vertex %d (%s policy%s)\n" sink (Prov.policy_name policy)

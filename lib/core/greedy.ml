@@ -86,123 +86,3 @@ let arrivals_at_sink g ~source ~sink =
 let buffers g ~source ~sink =
   let _, st = scan g ~source ~sink ~on_transfer:ignore in
   List.map (fun v -> (v, get st.avail v)) (Graph.vertices g)
-
-(* --- flat scan over the Compact substrate --------------------------
-
-   Same algorithm over the same scan order: the compact interaction
-   table is sorted by (time, qty, src, dst) on compact ids, and compact
-   ids are sorted-label ranks, so ties break exactly as
-   [Graph.interactions_sorted] breaks them on raw labels.  The
-   floating-point operation sequence is identical to [scan], so the
-   result is bit-identical — the property the verify lattice and the
-   representation-determinism tests pin down.  Buffers live in flat
-   float arrays indexed by compact id instead of hashtables, and the
-   hot loop reads the unboxed columns directly. *)
-
-let scan_compact c ~source ~sink ~on_transfer =
-  if source = sink then invalid_arg "Greedy: source = sink";
-  let n = Compact.n_vertices c in
-  let id l = match Compact.vertex_of_label c l with Some v -> v | None -> -1 in
-  let sid = id source and tid = id sink in
-  let size = if n = 0 then 1 else n in
-  let avail = Array.make size 0.0 in
-  let pending = Array.make size 0.0 in
-  let dirty = Array.make size 0 in
-  let n_dirty = ref 0 in
-  if sid >= 0 then avail.(sid) <- infinity;
-  let flush () =
-    for k = 0 to !n_dirty - 1 do
-      let u = dirty.(k) in
-      let p = pending.(u) in
-      if p > 0.0 then avail.(u) <- avail.(u) +. p;
-      pending.(u) <- 0.0
-    done;
-    n_dirty := 0
-  in
-  let current = ref nan in
-  let touches = ref 0 in
-  for k = 0 to Compact.n_interactions c - 1 do
-    let v = Compact.inter_src c k and u = Compact.inter_dst c k in
-    let tm = Compact.inter_time c k and q = Compact.inter_qty c k in
-    if not (Float.equal !current tm) then begin
-      flush ();
-      current := tm
-    end;
-    let b = if v = tid then 0.0 else avail.(v) in
-    let moved = Float.min q b in
-    if moved > 0.0 then begin
-      if v <> sid then avail.(v) <- b -. moved;
-      if pending.(u) = 0.0 then begin
-        dirty.(!n_dirty) <- u;
-        incr n_dirty
-      end;
-      pending.(u) <- pending.(u) +. moved;
-      incr touches
-    end;
-    on_transfer
-      { src = Compact.label c v; dst = Compact.label c u; time = tm; offered = q; moved }
-  done;
-  flush ();
-  Obs.Counter.add c_touches !touches;
-  ((if tid >= 0 then avail.(tid) else 0.0), avail, sid)
-
-let flow_compact c ~source ~sink =
-  (* Callback-free twin of [scan_compact]: the per-interaction loop is
-     pure column reads and array updates. *)
-  if source = sink then invalid_arg "Greedy: source = sink";
-  let n = Compact.n_vertices c in
-  let id l = match Compact.vertex_of_label c l with Some v -> v | None -> -1 in
-  let sid = id source and tid = id sink in
-  let size = if n = 0 then 1 else n in
-  let avail = Array.make size 0.0 in
-  let pending = Array.make size 0.0 in
-  let dirty = Array.make size 0 in
-  let n_dirty = ref 0 in
-  if sid >= 0 then avail.(sid) <- infinity;
-  let flush () =
-    for k = 0 to !n_dirty - 1 do
-      let u = dirty.(k) in
-      let p = pending.(u) in
-      if p > 0.0 then avail.(u) <- avail.(u) +. p;
-      pending.(u) <- 0.0
-    done;
-    n_dirty := 0
-  in
-  let current = ref nan in
-  let touches = ref 0 in
-  for k = 0 to Compact.n_interactions c - 1 do
-    let v = Compact.inter_src c k and u = Compact.inter_dst c k in
-    let tm = Compact.inter_time c k and q = Compact.inter_qty c k in
-    if not (Float.equal !current tm) then begin
-      flush ();
-      current := tm
-    end;
-    let b = if v = tid then 0.0 else avail.(v) in
-    let moved = Float.min q b in
-    if moved > 0.0 then begin
-      if v <> sid then avail.(v) <- b -. moved;
-      if pending.(u) = 0.0 then begin
-        dirty.(!n_dirty) <- u;
-        incr n_dirty
-      end;
-      pending.(u) <- pending.(u) +. moved;
-      incr touches
-    end
-  done;
-  flush ();
-  Obs.Counter.add c_touches !touches;
-  if tid >= 0 then avail.(tid) else 0.0
-
-let flow_trace_compact c ~source ~sink =
-  let log = ref [] in
-  let value, _, _ = scan_compact c ~source ~sink ~on_transfer:(fun tr -> log := tr :: !log) in
-  (value, List.rev !log)
-
-let arrivals_at_sink_compact c ~source ~sink =
-  let arrivals = ref [] in
-  let on_transfer tr =
-    if tr.dst = sink && tr.moved > 0.0 then
-      arrivals := Interaction.unchecked ~time:tr.time ~qty:tr.moved :: !arrivals
-  in
-  let _ = scan_compact c ~source ~sink ~on_transfer in
-  List.rev !arrivals

@@ -50,26 +50,3 @@ val arrivals_at_sink : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> In
 val buffers : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> (Graph.vertex * float) list
 (** Final buffer of every vertex after the scan (the source reports
     [infinity]). *)
-
-(** {1 Flat substrate}
-
-    The same scan over a {!Compact} network, reading the unboxed
-    interaction columns directly with flat per-vertex buffer arrays —
-    no hashtable probes, no per-interaction boxing.  [source]/[sink]
-    are raw labels, as above.  Scan order and floating-point operation
-    sequence are identical to the [Graph.t] path, so on equivalent
-    inputs the results are bit-identical (the representation-
-    determinism property the test suite and [tinflow verify] check). *)
-
-val flow_compact : Compact.t -> source:Graph.vertex -> sink:Graph.vertex -> float
-(** Greedy flow over the flat substrate.
-    @raise Invalid_argument if [source = sink]. *)
-
-val flow_trace_compact :
-  Compact.t -> source:Graph.vertex -> sink:Graph.vertex -> float * transfer list
-(** Flat-substrate twin of {!flow_trace}; transfers report raw
-    labels. *)
-
-val arrivals_at_sink_compact :
-  Compact.t -> source:Graph.vertex -> sink:Graph.vertex -> Interaction.t list
-(** Flat-substrate twin of {!arrivals_at_sink}. *)

@@ -75,38 +75,9 @@ val solve_detailed :
     verifier audits per-interaction capacity residuals and per-vertex
     temporal conservation from this list. *)
 
-(** {1 Flat substrate}
-
-    The same formulation built from a {!Compact} network without the
-    persistent view.  Both builders funnel through one shared
-    event-grouping pass fed by an edge-ordered iterator; since the two
-    substrates iterate interactions in the same order, variable
-    numbering, constraint order and the resulting pivot sequence are
-    identical — [solve_compact] agrees with {!solve} bit-for-bit on
-    equivalent inputs. *)
-
-val build_compact : Compact.t -> source:Graph.vertex -> sink:Graph.vertex -> lp
-(** [source]/[sink] are raw labels, as everywhere.
-    @raise Invalid_argument if [source = sink]. *)
-
-val solve_compact :
-  ?solver:Tin_lp.Problem.solver ->
-  ?eps:float ->
-  ?max_iters:int ->
-  Compact.t ->
-  source:Graph.vertex ->
-  sink:Graph.vertex ->
-  (float, [ `Unbounded | `Infeasible | `Iteration_limit ]) Stdlib.result
-
-val solve_detailed_compact :
-  ?solver:Tin_lp.Problem.solver ->
-  ?eps:float ->
-  ?max_iters:int ->
-  Compact.t ->
-  source:Graph.vertex ->
-  sink:Graph.vertex ->
-  (float * assignment list, [ `Unbounded | `Infeasible | `Iteration_limit ]) Stdlib.result
-
-val n_variables : Graph.t -> source:Graph.vertex -> int
+val n_variables : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> int
 (** Number of LP variables the formulation would have — the problem
-    size measure used in the paper's Figure 7 discussion. *)
+    size measure used in the paper's Figure 7 discussion.  Equals
+    [(build g ~source ~sink).n_vars]: interactions sent by the source
+    (fixed at full quantity) or by the sink (they carry nothing) get
+    no variable. *)

@@ -139,7 +139,7 @@ let staged ?solver ~simplify g ~source ~sink =
           ( span "pipeline.lp" (graph_args g') (fun () -> solve_lp ?solver g' ~source ~sink),
             C,
             Lp_solve,
-            Lp_flow.n_variables g' ~source )
+            Lp_flow.n_variables g' ~source ~sink )
       end
     end
   in
@@ -170,6 +170,6 @@ let classify g ~source ~sink =
   end
 
 let report ?solver ?(simplify = true) g ~source ~sink =
-  let lp_vars_before = Lp_flow.n_variables g ~source in
+  let lp_vars_before = Lp_flow.n_variables g ~source ~sink in
   let value, cls, stage, lp_vars_after = staged ?solver ~simplify g ~source ~sink in
   { value; cls; stage; lp_vars_before; lp_vars_after }

@@ -25,20 +25,3 @@ val run : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> result
 (** Preprocesses a DAG.  The input graph is unchanged (persistent
     structure).  @raise Invalid_argument if the graph is cyclic or
     [source = sink]. *)
-
-type result_compact = {
-  compact : Compact.t;  (** The reduced network (flat substrate). *)
-  zero_flow_c : bool;
-  removed_interactions_c : int;
-  removed_edges_c : int;
-  removed_vertices_c : int;
-}
-
-val run_compact : Compact.t -> source:Graph.vertex -> sink:Graph.vertex -> result_compact
-(** Flat twin of {!run}: the whole pass works on liveness bitmaps and
-    per-edge suffix offsets over the input's columns — no persistent
-    surgery — and compiles the survivors into a fresh substrate at the
-    end.  Produces the same surviving network and identical statistics
-    as {!run} on equivalent inputs ([source]/[sink] are raw labels).
-    @raise Invalid_argument if the graph is cyclic or
-    [source = sink]. *)

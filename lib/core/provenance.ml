@@ -53,13 +53,11 @@ let default_budget = 64
 
    A buffer is a list of entries sorted ascending by (born, origin),
    where [born] is the scan index of the interaction that created the
-   mass.  The key order is total and identical on both
-   representations, so every list operation below — and therefore
-   every floating-point addition order — is deterministic and
-   representation-independent.  Entries with equal keys are always
-   coalesced on merge, so keys are unique within a buffer.  [Lrb]
-   consumes from the front, [Mrb] from the back, [Proportional] scales
-   every entry by one ratio. *)
+   mass.  The key order is total, so every list operation below — and
+   therefore every floating-point addition order — is deterministic.
+   Entries with equal keys are always coalesced on merge, so keys are
+   unique within a buffer.  [Lrb] consumes from the front, [Mrb] from
+   the back, [Proportional] scales every entry by one ratio. *)
 
 type entry = { origin : origin; born : int; mutable mass : float }
 
@@ -159,9 +157,8 @@ let select ctx policy buffer ~take ~avail =
       (List.rev !moved, List.rev !kept)
 
 (* Aggregate a buffer by origin for reporting.  Masses are summed in
-   buffer (key) order so the addition sequence is deterministic and
-   representation-independent; the output is sorted by descending
-   mass, ties broken by origin. *)
+   buffer (key) order so the addition sequence is deterministic; the
+   output is sorted by descending mass, ties broken by origin. *)
 let aggregate entries =
   let acc = ref [] in
   (* first-seen order; buffers are budget-bounded so O(n^2) is fine *)
@@ -177,20 +174,27 @@ let aggregate entries =
 
 (* --- the scan --------------------------------------------------------
 
-   One core over integer slots, fed by either representation.  In
-   source-rooted mode the scalar operations replicate [Greedy]'s exact
-   floating-point sequence (strict-time buffers: pending arrivals at
-   the current timestamp flush when time advances; the absorbing
-   vertex never re-sends; moved = min(q, avail); the source is
-   infinite), so per-slot totals are bit-identical to
-   [Greedy.buffers].  In open-world mode every interaction ships its
-   full quantity and the uncovered part is born at the sender. *)
+   One pass over the interaction columns of a [Compact.t], with flat
+   per-vertex buffers indexed by compact id.  In source-rooted mode
+   the scalar operations replicate [Greedy]'s exact floating-point
+   sequence (strict-time buffers: pending arrivals at the current
+   timestamp flush when time advances; the absorbing vertex never
+   re-sends; moved = min(q, avail); the source is infinite), so the
+   absorbed total equals [Greedy.flow] on the equivalent [Graph.t].
+   In open-world mode every interaction ships its full quantity and
+   the uncovered part is born at the sender. *)
 
-let scan ~policy ~budget ~rooted ~source_slot ~absorb_slot ~n_slots ~n_inters ~get ~label ~trace
-    =
+let scan ~policy ~budget ~source ~absorb ~trace c =
   if budget < 2 then invalid_arg "Provenance: budget must be at least 2";
-  if rooted && source_slot = absorb_slot && source_slot >= 0 then
-    invalid_arg "Provenance: source = absorb";
+  let rooted = source <> None in
+  if rooted && source = absorb then invalid_arg "Provenance: source = absorb";
+  let slot = function
+    | None -> -1
+    | Some l -> ( match Compact.vertex_of_label c l with Some s -> s | None -> -1)
+  in
+  let source_slot = slot source and absorb_slot = slot absorb in
+  let n_slots = Compact.n_vertices c in
+  let label s = Compact.label c s in
   let size = max 1 n_slots in
   let avail = Array.make size 0.0 in
   let pending = Array.make size 0.0 in
@@ -215,8 +219,9 @@ let scan ~policy ~budget ~rooted ~source_slot ~absorb_slot ~n_slots ~n_inters ~g
     n_dirty := 0
   in
   let current = ref nan in
-  for k = 0 to n_inters - 1 do
-    let v, u, tm, q = get k in
+  for k = 0 to Compact.n_interactions c - 1 do
+    let v = Compact.inter_src c k and u = Compact.inter_dst c k in
+    let tm = Compact.inter_time c k and q = Compact.inter_qty c k in
     if not (Float.equal !current tm) then begin
       flush ();
       current := tm
@@ -282,40 +287,5 @@ let timed f =
         r)
   else f ()
 
-let run ?(policy = Proportional) ?(budget = default_budget) ?source ?absorb ?trace g =
-  timed (fun () ->
-      let verts = Array.of_list (Graph.vertices g) in
-      let n_slots = Array.length verts in
-      let slot_of = Hashtbl.create (max 16 n_slots) in
-      Array.iteri (fun s v -> Hashtbl.replace slot_of v s) verts;
-      let slot l =
-        match l with
-        | None -> -1
-        | Some l -> ( match Hashtbl.find_opt slot_of l with Some s -> s | None -> -1)
-      in
-      let inters = Graph.interactions_sorted g in
-      let get k =
-        let v, u, i = inters.(k) in
-        (Hashtbl.find slot_of v, Hashtbl.find slot_of u, Interaction.time i, Interaction.qty i)
-      in
-      scan ~policy ~budget ~rooted:(source <> None) ~source_slot:(slot source)
-        ~absorb_slot:(slot absorb) ~n_slots ~n_inters:(Array.length inters) ~get
-        ~label:(fun s -> verts.(s))
-        ~trace)
-
-let run_compact ?(policy = Proportional) ?(budget = default_budget) ?source ?absorb ?trace c =
-  timed (fun () ->
-      let slot l =
-        match l with
-        | None -> -1
-        | Some l -> ( match Compact.vertex_of_label c l with Some s -> s | None -> -1)
-      in
-      let get k =
-        (Compact.inter_src c k, Compact.inter_dst c k, Compact.inter_time c k,
-         Compact.inter_qty c k)
-      in
-      scan ~policy ~budget ~rooted:(source <> None) ~source_slot:(slot source)
-        ~absorb_slot:(slot absorb) ~n_slots:(Compact.n_vertices c)
-        ~n_inters:(Compact.n_interactions c) ~get
-        ~label:(fun s -> Compact.label c s)
-        ~trace)
+let run ?(policy = Proportional) ?(budget = default_budget) ?source ?absorb ?trace c =
+  timed (fun () -> scan ~policy ~budget ~source ~absorb ~trace c)

@@ -29,15 +29,12 @@
     vertex-level to fully aggregated attribution instead of growing
     without bound.
 
-    Both representations are supported — {!run} over {!Graph.t} and
-    {!run_compact} over the flat {!Compact.t} substrate — and are
-    bit-identical twins: the scan follows the global interaction order
-    (time, quantity, src, dst) with the same floating-point operation
-    sequence, so totals {e and} per-origin masses compare with
-    [Float.equal].  In source-rooted mode the scalar side mirrors
-    {!Greedy} exactly: per-vertex totals equal {!Greedy.buffers} and
-    the absorbed total equals {!Greedy.flow} bit for bit, which the
-    verify lattice enforces. *)
+    The scan runs over the flat {!Compact.t} substrate that
+    {!Io.load} returns, in its global interaction order (time,
+    quantity, src, dst).  In source-rooted mode the scalar side
+    mirrors {!Greedy} float-op-for-float-op: the absorbed total equals
+    {!Greedy.flow} on the equivalent {!Graph.t} bit for bit, which the
+    test suite and the verify lattice check. *)
 
 type policy = Lrb | Mrb | Proportional
 
@@ -72,8 +69,8 @@ val describe_origin : origin -> string
 type t = {
   totals : (Graph.vertex * float) list;
       (** Final buffered quantity per vertex, ascending by label.  In
-          source-rooted mode this equals {!Greedy.buffers} exactly
-          (the source reports [infinity]). *)
+          source-rooted mode this equals {!Greedy.buffers} on the
+          equivalent {!Graph.t} (the source reports [infinity]). *)
   vectors : (Graph.vertex * (origin * float) list) list;
       (** Final provenance vector per vertex, ascending by label; each
           vector is aggregated by origin and sorted by descending
@@ -92,7 +89,7 @@ val run :
   ?source:Graph.vertex ->
   ?absorb:Graph.vertex ->
   ?trace:(int -> (origin * float) list -> unit) ->
-  Graph.t ->
+  Compact.t ->
   t
 (** Scan the network once, propagating provenance vectors.
 
@@ -112,16 +109,8 @@ val run :
     provenance batch.  [budget] is the per-buffer entry budget
     (default {!default_budget}; at least 2).
 
-    @raise Invalid_argument if [budget < 2] or [source = absorb]. *)
+    [source] and [absorb] are raw labels, as everywhere; one absent
+    from the network simply never sends nor receives.
 
-val run_compact :
-  ?policy:policy ->
-  ?budget:int ->
-  ?source:Graph.vertex ->
-  ?absorb:Graph.vertex ->
-  ?trace:(int -> (origin * float) list -> unit) ->
-  Compact.t ->
-  t
-(** Bit-identical twin of {!run} over the flat substrate: identical
-    origins, masses, totals, spill and peak counts.  [source]/[absorb]
-    are raw labels, as in {!run}. *)
+    @raise Invalid_argument if [budget < 2] or [source = absorb]
+    (compared as labels, present in the network or not). *)

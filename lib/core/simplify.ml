@@ -51,27 +51,15 @@ let run g0 ~source ~sink =
   in
   loop g0 0 0
 
-let reduce_chain_interactions edges =
-  match edges with
-  | [] -> []
-  | _ ->
-      (* Build the chain as a graph over fresh ids 0,1,…,k and run the
-         greedy scan; vertex identity inside the chain is positional. *)
-      let g, _ =
-        List.fold_left
-          (fun (g, idx) (_, is) -> (Graph.add_edge g ~src:idx ~dst:(idx + 1) is, idx + 1))
-          (Graph.empty, 0) edges
-      in
-      Greedy.arrivals_at_sink g ~source:0 ~sink:(List.length edges)
-
 (* Flat positional chain reduction over pre-gathered columns: the
    [k]-edge chain 0 → 1 → … → k carries interaction
    (times.(j), qtys.(j)) on edge [pos.(j) → pos.(j) + 1].  Runs the
-   same greedy scan as [reduce_chain_interactions] — the global scan
-   order (time, qty, src, dst) collapses to (time, qty, pos) on a
-   chain, where dst = src + 1 — but with flat buffers and no graph or
-   interaction construction.  This is the pattern tables' hot loop
-   (Tables.cycles2/cycles3/chains2 call it once per candidate). *)
+   greedy scan of [Greedy.arrivals_at_sink] on that chain — the
+   global scan order (time, qty, src, dst) collapses to (time, qty,
+   pos) on a chain, where dst = src + 1 — but with flat buffers and
+   no graph or interaction construction.  This is the pattern tables'
+   hot loop (Tables.cycles2/cycles3/chains2 call it once per
+   candidate). *)
 let reduce_chain_cols ~k ~times ~qtys ~pos =
   let mtot = Array.length pos in
   let perm = Array.init mtot Fun.id in

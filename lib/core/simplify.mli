@@ -23,20 +23,14 @@ val run : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> result
 (** Simplifies a DAG.  The input is unchanged.
     @raise Invalid_argument if the graph is cyclic or [source = sink]. *)
 
-val reduce_chain_interactions :
-  (Graph.vertex * Interaction.t list) list -> Interaction.t list
-(** [reduce_chain_interactions [(v1, e1); …; (vk, ek)]] collapses a
-    free-standing chain given as consecutive edges ([e1] on
-    [(s, v1)], [e2] on [(v1, v2)], …) into the interaction sequence of
-    the replacement edge.  Exposed for the pattern path tables, which
-    extend precomputed paths one edge at a time (Section 5.1). *)
-
 val reduce_chain_cols :
   k:int -> times:floatarray -> qtys:floatarray -> pos:int array -> Interaction.t list
-(** Flat twin of {!reduce_chain_interactions} for pre-gathered columns:
-    interaction [j] has timestamp [times.(j)], quantity [qtys.(j)] and
-    sits on chain edge [pos.(j) → pos.(j) + 1] of a [k]-edge chain
-    ([0 ≤ pos.(j) < k]; any order; the three arrays must have equal
-    length).  Produces the identical arrival sequence without building
-    a graph or boxing interactions — the pattern-table candidate scan
-    ({!Tin_patterns.Tables}) calls this once per candidate. *)
+(** Collapses a free-standing chain [0 → 1 → … → k] into the
+    interaction sequence of its replacement edge [(0, k)]: the greedy
+    arrivals at [k] ({!Greedy.arrivals_at_sink} with source [0]).
+    Interaction [j] has timestamp [times.(j)], quantity [qtys.(j)] and
+    sits on chain edge [pos.(j) → pos.(j) + 1] ([0 ≤ pos.(j) < k]; any
+    order; the three arrays must have equal length).  No graph is
+    built and no interaction boxed — the pattern path tables
+    ({!Tin_patterns.Tables}), which extend precomputed paths one edge
+    at a time (Section 5.1), call this once per candidate. *)

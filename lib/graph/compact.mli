@@ -17,10 +17,9 @@
 
     Compact vertex ids are {e sorted-label ranks}: [label] is strictly
     increasing in the id, so iterating edges in id order visits them in
-    the same order as {!Graph.iter_edges} visits raw labels.  This is
-    what makes the flat consumers ([Greedy.flow_compact],
-    [Lp_flow.build_compact], …) bit-identical to their [Graph.t]
-    counterparts.
+    the same order as {!Graph.iter_edges} visits raw labels, and seeds
+    and anchors are visited in ascending label order whatever the
+    input format.
 
     Unlike {!Graph.t}, the substrate tolerates self-loops (the binary
     snapshot format must round-trip arbitrary well-formed files);
@@ -48,8 +47,8 @@ val of_graph : Graph.t -> t
     vertices. *)
 
 val to_graph : t -> Graph.t
-(** The persistent compatibility view, used by the verify lattice to
-    cross-check flat and boxed paths.
+(** The persistent view of the whole network, for the [Graph.t] flow
+    kernels.
     @raise Invalid_argument if the substrate contains a self-loop
     ({!Graph.t} cannot represent one). *)
 

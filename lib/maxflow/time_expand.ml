@@ -23,14 +23,11 @@ module IntMap = Map.Make (Int)
    against the capacity. *)
 type event_nodes = { time : float; b : int; a : int }
 
-(* Shared network construction: [iter] visits every interaction in
-   [Graph.iter_edges] order (the flat substrate iterates identically),
-   so arc creation order — and therefore the float results of the
-   augmenting-path algorithms — cannot depend on the representation. *)
-let build_of ~empty ~mem_vertex ~iter ?(buffer_capacity = fun _ -> infinity) ~source ~sink () =
+let build ?(buffer_capacity = fun _ -> infinity) g ~source ~sink =
   if source = sink then invalid_arg "Time_expand.build: source = sink";
-  if (not empty) && not (mem_vertex source && mem_vertex sink) then
+  if Graph.n_vertices g > 0 && not (Graph.mem_vertex g source && Graph.mem_vertex g sink) then
     invalid_arg "Time_expand.build: source or sink not in graph";
+  let iter f = Graph.iter_edges (fun v u is -> List.iter (f v u) is) g in
   (* Big-M stand-in for infinite quantities. *)
   let finite_total =
     let acc = ref 0.0 in
@@ -129,19 +126,6 @@ let build_of ~empty ~mem_vertex ~iter ?(buffer_capacity = fun _ -> infinity) ~so
     interaction_arcs = !interaction_arcs;
   }
 
-let build ?buffer_capacity g ~source ~sink =
-  build_of ~empty:(Graph.n_vertices g = 0)
-    ~mem_vertex:(Graph.mem_vertex g)
-    ~iter:(fun f -> Graph.iter_edges (fun v u is -> List.iter (f v u) is) g)
-    ?buffer_capacity ~source ~sink ()
-
-let build_compact ?buffer_capacity c ~source ~sink =
-  build_of
-    ~empty:(Compact.n_vertices c = 0)
-    ~mem_vertex:(fun l -> Compact.vertex_of_label c l <> None)
-    ~iter:(fun f -> Compact.iter_grouped c f)
-    ?buffer_capacity ~source ~sink ()
-
 let solve_net ~algo net ~source ~sink =
   match algo with
   | `Dinic -> Dinic.max_flow net ~source ~sink
@@ -150,10 +134,6 @@ let solve_net ~algo net ~source ~sink =
 
 let max_flow ?(algo = `Dinic) ?buffer_capacity g ~source ~sink =
   let { net; source_node; sink_node; _ } = build ?buffer_capacity g ~source ~sink in
-  solve_net ~algo net ~source:source_node ~sink:sink_node
-
-let max_flow_compact ?(algo = `Dinic) ?buffer_capacity c ~source ~sink =
-  let { net; source_node; sink_node; _ } = build_compact ?buffer_capacity c ~source ~sink in
   solve_net ~algo net ~source:source_node ~sink:sink_node
 
 type solution = {

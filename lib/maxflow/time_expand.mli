@@ -81,29 +81,3 @@ val max_flow_detailed :
 (** Like {!max_flow}, but also extracts the per-interaction flows from
     the residual network — the independently-computed solution vector
     the differential verifier audits against the LP's. *)
-
-(** {1 Flat substrate}
-
-    Expansion straight from a {!Compact} network.  Both builders share
-    one construction pass driven by an edge-ordered interaction
-    iterator, so node numbering and arc creation order — and therefore
-    the augmenting-path results — are identical across
-    representations. *)
-
-val build_compact :
-  ?buffer_capacity:(Graph.vertex -> float) ->
-  Compact.t ->
-  source:Graph.vertex ->
-  sink:Graph.vertex ->
-  t
-(** [source]/[sink] and the [buffer_capacity] argument are raw labels.
-    @raise Invalid_argument as {!build}. *)
-
-val max_flow_compact :
-  ?algo:[ `Dinic | `Edmonds_karp | `Push_relabel ] ->
-  ?buffer_capacity:(Graph.vertex -> float) ->
-  Compact.t ->
-  source:Graph.vertex ->
-  sink:Graph.vertex ->
-  float
-(** Builds from the flat substrate and solves (default [`Dinic]). *)

@@ -145,7 +145,7 @@ let oracle_names =
   [ "greedy" ]
   @ List.map fst lp_solvers
   @ List.map fst te_algos
-  @ [ "pipeline:pre"; "pipeline:presim"; "lp:c"; "te:c" ]
+  @ [ "pipeline:pre"; "pipeline:presim" ]
   @ [ "decomp"; "prov:lrb"; "prov:mrb"; "prov:prop" ]
 
 let check ?(policy = Fcmp.default_policy) ?(extra = []) g ~source ~sink =
@@ -265,45 +265,6 @@ let check ?(policy = Fcmp.default_policy) ?(extra = []) g ~source ~sink =
       | Some v -> record o.name v
       | None -> ())
     extra;
-  (* Flat-substrate twins, driven off [Compact.of_graph].  The LP and
-     time-expansion twins join the pairwise max-flow agreement below;
-     on top of the shared tolerance all three are held to bit-for-bit
-     equality with their [Graph.t] counterparts — the representation
-     migration must not perturb a single ulp. *)
-  (match guarded "compact" (fun () -> Compact.of_graph g) with
-  | None -> ()
-  | Some c ->
-      let bit_identical name v ref_name =
-        match List.assoc_opt ref_name !values with
-        | Some ref_v when not (Float.equal v ref_v) ->
-            add "compact-not-bit-identical"
-              (Printf.sprintf "%s=%.17g but %s=%.17g" ref_name ref_v name v)
-        | _ -> ()
-      in
-      (match (greedy, guarded "greedy:c" (fun () -> Greedy.flow_compact c ~source ~sink)) with
-      | Some gv, Some cv when not (Float.equal cv gv) ->
-          add "compact-not-bit-identical"
-            (Printf.sprintf "greedy=%.17g but greedy:c=%.17g" gv cv)
-      | _ -> ());
-      (match
-         guarded "lp:c" (fun () ->
-             match
-               Lp_flow.solve_compact ~solver:`Sparse ~eps:policy.Fcmp.pivot_eps c ~source ~sink
-             with
-             | Ok v -> v
-             | Error `Unbounded -> failwith "unbounded"
-             | Error `Infeasible -> failwith "infeasible"
-             | Error `Iteration_limit -> failwith "iteration limit")
-       with
-      | Some v ->
-          bit_identical "lp:c" v "lp:sparse";
-          record "lp:c" v
-      | None -> ());
-      match guarded "te:c" (fun () -> TE.max_flow_compact c ~source ~sink) with
-      | Some v ->
-          bit_identical "te:c" v "te:dinic";
-          record "te:c" v
-      | None -> ());
   (* Flow decomposition: the peeled path amounts must reassemble the
      max-flow value (allowing eps-sized numerical crumbs per path),
      every path must be a temporal source->sink route, and no
@@ -358,28 +319,22 @@ let check ?(policy = Fcmp.default_policy) ?(extra = []) g ~source ~sink =
      name only origins the source sent (validated against the fixed
      scan-order numbering shared with [Decompose.leg.inter]), never
      attribute more mass to an origin than that interaction's
-     quantity, and be bit-identical across Graph/Compact twins. *)
+     quantity. *)
   (match greedy with
   | None -> ()
   | Some greedy_v ->
       let inters = Graph.interactions_sorted g in
+      let net = Compact.of_graph g in
       let ref_totals = ref None in
       List.iter
         (fun policy ->
           let name = "prov:" ^ Provenance.policy_name policy in
           match
             guarded name (fun () ->
-                let r = Provenance.run ~policy ~source ~absorb:sink g in
-                let rc =
-                  Provenance.run_compact ~policy ~source ~absorb:sink (Compact.of_graph g)
-                in
-                (r, rc))
+                Provenance.run ~policy ~source ~absorb:sink net)
           with
           | None -> ()
-          | Some (r, rc) ->
-              if r <> rc then
-                add "prov-not-bit-identical"
-                  (name ^ " differs between Graph and Compact representations");
+          | Some r ->
               (match !ref_totals with
               | None -> ref_totals := Some (name, r.Provenance.totals)
               | Some (ref_name, ref_t) ->

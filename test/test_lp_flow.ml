@@ -16,12 +16,23 @@ let test_fig5a_chain () =
   Check.check_flow "chain: LP = greedy" 7.0 (solve P.fig5a ~source:P.s ~sink:P.t)
 
 let test_variable_count () =
-  (* One variable per non-source interaction. *)
-  Alcotest.(check int) "fig3" 3 (Lp_flow.n_variables P.fig3 ~source:P.s);
-  Alcotest.(check int) "fig7" 9 (Lp_flow.n_variables P.fig7 ~source:P.s);
+  (* One variable per interaction sent by neither source nor sink. *)
+  Alcotest.(check int) "fig3" 3 (Lp_flow.n_variables P.fig3 ~source:P.s ~sink:P.t);
+  Alcotest.(check int) "fig7" 9 (Lp_flow.n_variables P.fig7 ~source:P.s ~sink:P.t);
   let lp = Lp_flow.build P.fig3 ~source:P.s ~sink:P.t in
   Alcotest.(check int) "built vars" 3 lp.Lp_flow.n_vars;
   Alcotest.(check bool) "has rows" true (lp.Lp_flow.n_rows > 0)
+
+let test_variable_count_sink_sends () =
+  (* Interactions the sink sends carry nothing and get no variable;
+     the count must agree with the built LP. *)
+  let g =
+    Graph.of_edges
+      [ (0, 1, [ (1.0, 5.0) ]); (1, 2, [ (2.0, 5.0) ]); (2, 1, [ (3.0, 4.0); (4.0, 1.0) ]) ]
+  in
+  let lp = Lp_flow.build g ~source:0 ~sink:2 in
+  Alcotest.(check int) "built vars" 1 lp.Lp_flow.n_vars;
+  Alcotest.(check int) "counted vars" 1 (Lp_flow.n_variables g ~source:0 ~sink:2)
 
 let test_source_to_sink_direct () =
   (* Direct source→sink interactions contribute as constants. *)
@@ -105,6 +116,7 @@ let () =
       ( "semantics",
         [
           Alcotest.test_case "direct source-sink" `Quick test_source_to_sink_direct;
+          Alcotest.test_case "sink sends get no variable" `Quick test_variable_count_sink_sends;
           Alcotest.test_case "strict time" `Quick test_strict_time;
           Alcotest.test_case "tie double-spend" `Quick test_tie_no_double_spend;
           Alcotest.test_case "cyclic graphs" `Quick test_cyclic_graph_supported;

@@ -217,48 +217,16 @@ let prop_time_shift_invariance rng =
   Fcmp.approx_eq ~eps (TE.max_flow g ~source ~sink) (TE.max_flow shifted ~source ~sink)
   && Fcmp.approx_eq ~eps (Greedy.flow g ~source ~sink) (Greedy.flow shifted ~source ~sink)
 
-(* --- representation determinism -------------------------------------
-   The flat Compact consumers must agree with their Graph.t twins
-   bit-for-bit (exact Float equality, not approx): same scan order,
-   same floating-point operation sequence. *)
-
-let prop_compact_greedy_bit_identical rng =
-  let g, source, sink = Gen.random_digraph rng in
-  let c = Compact.of_graph g in
-  Float.equal (Greedy.flow g ~source ~sink) (Greedy.flow_compact c ~source ~sink)
-
-let prop_compact_lp_bit_identical rng =
-  let g, source, sink = Gen.random_dag rng in
-  let c = Compact.of_graph g in
-  match (Lp_flow.solve ~solver:`Sparse g ~source ~sink,
-         Lp_flow.solve_compact ~solver:`Sparse c ~source ~sink)
-  with
-  | Ok a, Ok b -> Float.equal a b
-  | Error _, Error _ -> true
-  | _ -> false
-
-let prop_compact_te_bit_identical rng =
-  let g, source, sink = Gen.random_digraph rng in
-  let c = Compact.of_graph g in
-  Float.equal (TE.max_flow g ~source ~sink) (TE.max_flow_compact c ~source ~sink)
-
-let prop_compact_preprocess_identical rng =
-  (* The flat preprocess produces the same surviving network and the
-     same removal statistics as the persistent one. *)
-  let g, source, sink = Gen.random_dag rng in
-  let r = Preprocess.run g ~source ~sink in
-  let rc = Preprocess.run_compact (Compact.of_graph g) ~source ~sink in
-  r.Preprocess.zero_flow = rc.Preprocess.zero_flow_c
-  && r.Preprocess.removed_interactions = rc.Preprocess.removed_interactions_c
-  && r.Preprocess.removed_edges = rc.Preprocess.removed_edges_c
-  && r.Preprocess.removed_vertices = rc.Preprocess.removed_vertices_c
-  && (rc.Preprocess.zero_flow_c
-     || Graph.equal r.Preprocess.graph (Compact.to_graph rc.Preprocess.compact))
-
 let prop_compact_roundtrip_graph rng =
   (* of_graph / to_graph is the identity on self-loop-free graphs. *)
   let g, _, _ = Gen.random_digraph rng in
   Graph.equal g (Compact.to_graph (Compact.of_graph g))
+
+let prop_lp_variable_count rng =
+  (* [n_variables] counts exactly the variables [build] creates:
+     neither the source's nor the sink's sends get one. *)
+  let g, source, sink = Gen.random_digraph rng in
+  Lp_flow.n_variables g ~source ~sink = (Lp_flow.build g ~source ~sink).Lp_flow.n_vars
 
 let prop_classification_consistent rng =
   let g, source, sink = Gen.random_dag rng in
@@ -306,17 +274,10 @@ let () =
           Check.seeded_property "quantity scaling" prop_scaling_invariance;
           Check.seeded_property "time-shift invariance" prop_time_shift_invariance;
           Check.seeded_property "classification consistent" prop_classification_consistent;
+          Check.seeded_property "LP variable count = built variables" prop_lp_variable_count;
         ] );
       ( "representation",
         [
-          Check.seeded_property "greedy: Compact = Graph (bit-identical)"
-            prop_compact_greedy_bit_identical;
-          Check.seeded_property "LP sparse: Compact = Graph (bit-identical)"
-            prop_compact_lp_bit_identical;
-          Check.seeded_property "time-expanded: Compact = Graph (bit-identical)"
-            prop_compact_te_bit_identical;
-          Check.seeded_property ~count:100 "preprocess: Compact = Graph"
-            prop_compact_preprocess_identical;
           Check.seeded_property ~count:100 "of_graph/to_graph identity"
             prop_compact_roundtrip_graph;
         ] );

@@ -19,9 +19,9 @@ let test_fig7_full_reduction () =
 
 let test_fig7_lp_variable_count () =
   (* The paper: 9 variables before, 3 after. *)
-  Alcotest.(check int) "before" 9 (Lp_flow.n_variables P.fig7 ~source:P.s);
+  Alcotest.(check int) "before" 9 (Lp_flow.n_variables P.fig7 ~source:P.s ~sink:P.t);
   let r = Simplify.run P.fig7 ~source:P.s ~sink:P.t in
-  Alcotest.(check int) "after" 3 (Lp_flow.n_variables r.Simplify.graph ~source:P.s)
+  Alcotest.(check int) "after" 3 (Lp_flow.n_variables r.Simplify.graph ~source:P.s ~sink:P.t)
 
 let test_fig7_flow_preserved () =
   let before = Pipeline.compute Pipeline.Lp P.fig7 ~source:P.s ~sink:P.t in
@@ -97,22 +97,32 @@ let test_cyclic_rejected () =
   Alcotest.check_raises "cycle" (Invalid_argument "Simplify.run: graph has a cycle") (fun () ->
       ignore (Simplify.run g ~source:0 ~sink:1))
 
-let test_reduce_chain_interactions_helper () =
+(* Gathers a chain given as consecutive edges into the positional
+   columns [reduce_chain_cols] takes: edge [j] of the list is chain
+   edge [j → j + 1]. *)
+let chain_cols edges =
+  let cols =
+    List.concat (List.mapi (fun j is -> List.map (fun i -> (j, i)) is) edges)
+  in
+  Simplify.reduce_chain_cols ~k:(List.length edges)
+    ~times:(Float.Array.of_list (List.map (fun (_, i) -> Interaction.time i) cols))
+    ~qtys:(Float.Array.of_list (List.map (fun (_, i) -> Interaction.qty i) cols))
+    ~pos:(Array.of_list (List.map fst cols))
+
+let test_reduce_chain_cols_helper () =
   (* The positional helper agrees with the graph-level reduction on
      Figure 5(a). *)
   let edges =
     [
-      (P.x, Graph.edge P.fig5a ~src:P.s ~dst:P.x);
-      (P.y, Graph.edge P.fig5a ~src:P.x ~dst:P.y);
-      (P.t, Graph.edge P.fig5a ~src:P.y ~dst:P.t);
+      Graph.edge P.fig5a ~src:P.s ~dst:P.x;
+      Graph.edge P.fig5a ~src:P.x ~dst:P.y;
+      Graph.edge P.fig5a ~src:P.y ~dst:P.t;
     ]
   in
-  Alcotest.check Check.interactions "helper matches"
-    P.fig5a_reduced_edge
-    (Simplify.reduce_chain_interactions edges)
+  Alcotest.check Check.interactions "helper matches" P.fig5a_reduced_edge (chain_cols edges)
 
 let test_reduce_chain_empty () =
-  Alcotest.check Check.interactions "empty chain" [] (Simplify.reduce_chain_interactions [])
+  Alcotest.check Check.interactions "empty chain" [] (chain_cols [])
 
 let () =
   Alcotest.run "simplify"
@@ -132,7 +142,7 @@ let () =
           Alcotest.test_case "parallel edge merge" `Quick test_parallel_edge_merge;
           Alcotest.test_case "whole graph collapses" `Quick test_whole_graph_collapses;
           Alcotest.test_case "cycle rejected" `Quick test_cyclic_rejected;
-          Alcotest.test_case "chain helper" `Quick test_reduce_chain_interactions_helper;
+          Alcotest.test_case "chain helper" `Quick test_reduce_chain_cols_helper;
           Alcotest.test_case "empty chain helper" `Quick test_reduce_chain_empty;
         ] );
     ]
