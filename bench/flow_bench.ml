@@ -65,7 +65,7 @@ type measured = {
   max_flow : float;
 }
 
-let methods = Pipeline.[ Greedy; Lp; Pre; Pre_sim ]
+let methods = Pipeline.[ Greedy; Lp; Pre; Pre_sim; Time_expanded ]
 
 let measure_problem (p : Extract.problem) =
   let g = p.Extract.graph and source = p.Extract.source and sink = p.Extract.sink in
@@ -78,12 +78,18 @@ let measure_problem (p : Extract.problem) =
   let lp_flow, lp_ms = run Pipeline.Lp in
   let _, pre_ms = run Pipeline.Pre in
   let presim_flow, presim_ms = run Pipeline.Pre_sim in
-  (* Consistency guard: the accelerated pipeline must agree with the
-     direct LP — a hard failure here means a bug, not noise. *)
-  if not (Tin_util.Fcmp.approx_eq ~eps:1e-4 lp_flow presim_flow) then
+  let te_flow, te_ms = run Pipeline.Time_expanded in
+  (* Consistency guard: the accelerated pipeline and the raw
+     time-expanded Dinic must agree with the direct LP — a hard failure
+     here means a bug, not noise. *)
+  if
+    not
+      (Tin_util.Fcmp.approx_eq ~eps:1e-4 lp_flow presim_flow
+      && Tin_util.Fcmp.approx_eq ~eps:1e-4 lp_flow te_flow)
+  then
     failwith
-      (Printf.sprintf "method disagreement on seed %d: LP=%g PreSim=%g" p.Extract.seed lp_flow
-         presim_flow);
+      (Printf.sprintf "method disagreement on seed %d: LP=%g PreSim=%g TimeExp=%g" p.Extract.seed
+         lp_flow presim_flow te_flow);
   {
     problem = p;
     cls;
@@ -93,6 +99,7 @@ let measure_problem (p : Extract.problem) =
         (Pipeline.Lp, lp_ms);
         (Pipeline.Pre, pre_ms);
         (Pipeline.Pre_sim, presim_ms);
+        (Pipeline.Time_expanded, te_ms);
       ];
     greedy_flow;
     max_flow = presim_flow;
@@ -111,7 +118,7 @@ let flow_table d measured =
   let spec_name = d.Workload.spec.Tin_datasets.Spec.name in
   let class_row label rows =
     match rows with
-    | [] -> [ label ^ " (0)"; "-"; "-"; "-"; "-" ]
+    | [] -> (label ^ " (0)") :: List.map (fun _ -> "-") methods
     | _ ->
         (label ^ Printf.sprintf " (%d)" (List.length rows))
         :: List.map (fun (_, ms) -> Table.fmt_ms ms) (avg_times rows)
@@ -121,7 +128,7 @@ let flow_table d measured =
     ~title:
       (Printf.sprintf "Table %d: Runtime for %s subgraphs (avg per subgraph)" d.Workload.table_id
          spec_name)
-    ~header:[ "Subgraphs"; "Greedy"; "LP"; "Pre"; "PreSim" ]
+    ~header:("Subgraphs" :: List.map Pipeline.method_name methods)
     [
       class_row "All" measured;
       class_row "Class A" (cls Pipeline.A);
@@ -132,9 +139,10 @@ let flow_table d measured =
   let avg = avg_times measured in
   let t m = List.assoc m avg in
   if t Pipeline.Pre_sim > 0.0 then
-    Printf.printf "  -> speedup of PreSim over LP: %.1fx (Pre: %.1fx)\n\n"
+    Printf.printf "  -> speedup of PreSim over LP: %.1fx (Pre: %.1fx); over TimeExp: %.1fx\n\n"
       (t Pipeline.Lp /. t Pipeline.Pre_sim)
       (t Pipeline.Lp /. t Pipeline.Pre)
+      (t Pipeline.Time_expanded /. t Pipeline.Pre_sim)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 11: runtime vs. number of interactions                       *)
@@ -157,7 +165,7 @@ let figure11 d measured =
             measured
         in
         match in_bucket with
-        | [] -> Some [ label ^ " (0)"; "-"; "-"; "-"; "-" ]
+        | [] -> Some ((label ^ " (0)") :: List.map (fun _ -> "-") methods)
         | _ ->
             Some
               ((Printf.sprintf "%s (%d)" label (List.length in_bucket))
@@ -171,7 +179,7 @@ let figure11 d measured =
       (Printf.sprintf "Figure 11%s: Runtime [usec] per #interactions bucket (%s)"
          (match d.Workload.table_id with 6 -> "(a)" | 7 -> "(b)" | _ -> "(c)")
          d.Workload.spec.Tin_datasets.Spec.name)
-    ~header:[ "#interactions"; "Greedy"; "LP"; "Pre"; "PreSim" ]
+    ~header:("#interactions" :: List.map Pipeline.method_name methods)
     rows
 
 let run datasets =

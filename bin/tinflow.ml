@@ -308,8 +308,9 @@ let solver_arg =
     & opt solver_conv `Auto
     & info [ "solver" ] ~docv:"SOLVER"
         ~doc:
-          "LP solver for the simplex stages: auto | dense | bounded | sparse (default auto: \
-           picks the sparse revised simplex on large sparse instances).")
+          "LP solver of the $(b,-m lp) method: auto | dense | bounded | sparse (default auto: \
+           picks the sparse revised simplex on large sparse instances).  Applies to $(b,-m lp) \
+           only; the other methods run no LP.")
 
 let file_arg =
   Arg.(
@@ -366,7 +367,7 @@ let flow_cmd =
         Printf.printf "%s flow: %g\n" (Pipeline.method_name m)
           (Pipeline.compute ~solver m g ~source ~sink)
     | None ->
-        let r = Pipeline.report ~solver g ~source ~sink in
+        let r = Pipeline.report g ~source ~sink in
         Printf.printf "greedy flow:  %g\n" (Pipeline.compute Pipeline.Greedy g ~source ~sink);
         Printf.printf "maximum flow: %g\n" r.Pipeline.value;
         Printf.printf "difficulty:   %s (LP variables %d -> %d)\n"

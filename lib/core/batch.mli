@@ -34,8 +34,9 @@ val max_flows :
   problem list ->
   float list
 (** Flow value of every problem, in order, computed across domains.
-    [method_] defaults to {!Pipeline.Pre_sim}; [solver] is passed to
-    the LP stages (default [`Auto]).
+    [method_] defaults to {!Pipeline.Pre_sim}; [solver] selects the
+    simplex variant of the [Lp] method (default [`Auto]), which is the
+    only method that runs an LP.
     @raise Pipeline.Solver_failure as {!Pipeline.compute}. *)
 
 val map_reduce :

@@ -37,7 +37,7 @@ type stage =
   | Zero_after_preprocess
   | Soluble_after_preprocess
   | Soluble_after_simplify
-  | Lp_solve
+  | Dinic_solve
 
 let stage_name = function
   | Soluble_as_given -> "soluble-as-given"
@@ -45,7 +45,7 @@ let stage_name = function
   | Zero_after_preprocess -> "zero-after-preprocess"
   | Soluble_after_preprocess -> "soluble-after-preprocess"
   | Soluble_after_simplify -> "soluble-after-simplify"
-  | Lp_solve -> "lp-solve"
+  | Dinic_solve -> "dinic-solve"
 
 let stage_counters =
   List.map
@@ -56,7 +56,7 @@ let stage_counters =
       Zero_after_preprocess;
       Soluble_after_preprocess;
       Soluble_after_simplify;
-      Lp_solve;
+      Dinic_solve;
     ]
 
 let count_stage s = Obs.Counter.incr (List.assq s stage_counters)
@@ -78,26 +78,28 @@ let solve_lp ?solver g ~source ~sink =
   | Error `Infeasible -> raise (Solver_failure "LP infeasible (internal error)")
   | Error `Iteration_limit -> raise (Solver_failure "LP iteration limit reached")
 
+(* Dinic on the send-time-compressed time-expanded network: the final
+   stage of both pipelines and their cyclic fallback. *)
+let dinic g ~source ~sink =
+  span "pipeline.time_expand" (graph_args g) (fun () -> Tin_maxflow.max_flow g ~source ~sink)
+
 (* The Pre / PreSim pipelines.  [simplify] toggles the Algorithm-2
-   stage.  Returns the flow and the stage accounting used by
-   [report].  Each stage runs inside an observability span carrying the
-   input graph size; the preprocess/simplify spans additionally feed
-   the [pipeline.*_removed] reduction counters. *)
-let staged ?solver ~simplify g ~source ~sink =
+   stage.  Returns the flow, its class and stage, and the reduced graph
+   the final Dinic solve ran on (for [report]'s size accounting).  Each
+   stage runs inside an observability span carrying the input graph
+   size; the preprocess/simplify spans additionally feed the
+   [pipeline.*_removed] reduction counters. *)
+let staged ~simplify g ~source ~sink =
   let ((_, _, stage, _) as result) =
     if Solubility.soluble g ~source ~sink then
       ( span "pipeline.greedy" (graph_args g) (fun () -> Greedy.flow g ~source ~sink),
         A,
         Soluble_as_given,
-        0 )
+        None )
     else if not (Topo.is_dag g) then
       (* The DAG accelerators do not apply; the time-expanded reduction
-         (and the LP) are structure-agnostic, so fall back to Dinic. *)
-      ( span "pipeline.time_expand" (graph_args g) (fun () ->
-            Tin_maxflow.Time_expand.max_flow g ~source ~sink),
-        C,
-        Cyclic_fallback,
-        0 )
+         is structure-agnostic. *)
+      (dinic g ~source ~sink, C, Cyclic_fallback, None)
     else begin
       let pre = span "pipeline.preprocess" (graph_args g) (fun () -> Preprocess.run g ~source ~sink) in
       if Obs.tracking () && not pre.Preprocess.zero_flow then begin
@@ -105,14 +107,14 @@ let staged ?solver ~simplify g ~source ~sink =
         Obs.Counter.add c_pre_vertices (Graph.n_vertices g - Graph.n_vertices g');
         Obs.Counter.add c_pre_interactions (Graph.n_interactions g - Graph.n_interactions g')
       end;
-      if pre.Preprocess.zero_flow then (0.0, B, Zero_after_preprocess, 0)
+      if pre.Preprocess.zero_flow then (0.0, B, Zero_after_preprocess, None)
       else if Solubility.soluble pre.Preprocess.graph ~source ~sink then
         ( span "pipeline.greedy"
             (graph_args pre.Preprocess.graph)
             (fun () -> Greedy.flow pre.Preprocess.graph ~source ~sink),
           B,
           Soluble_after_preprocess,
-          0 )
+          None )
       else begin
         let g' =
           if simplify then begin
@@ -134,12 +136,8 @@ let staged ?solver ~simplify g ~source ~sink =
           ( span "pipeline.greedy" (graph_args g') (fun () -> Greedy.flow g' ~source ~sink),
             C,
             Soluble_after_simplify,
-            0 )
-        else
-          ( span "pipeline.lp" (graph_args g') (fun () -> solve_lp ?solver g' ~source ~sink),
-            C,
-            Lp_solve,
-            Lp_flow.n_variables g' ~source ~sink )
+            None )
+        else (dinic g' ~source ~sink, C, Dinic_solve, Some g')
       end
     end
   in
@@ -151,14 +149,14 @@ let compute ?solver method_ g ~source ~sink =
   | Greedy -> Greedy.flow g ~source ~sink
   | Lp -> solve_lp ?solver g ~source ~sink
   | Pre ->
-      let v, _, _, _ = staged ?solver ~simplify:false g ~source ~sink in
+      let v, _, _, _ = staged ~simplify:false g ~source ~sink in
       v
   | Pre_sim ->
-      let v, _, _, _ = staged ?solver ~simplify:true g ~source ~sink in
+      let v, _, _, _ = staged ~simplify:true g ~source ~sink in
       v
   | Time_expanded -> Tin_maxflow.Time_expand.max_flow g ~source ~sink
 
-let max_flow ?solver g ~source ~sink = compute ?solver Pre_sim g ~source ~sink
+let max_flow g ~source ~sink = compute Pre_sim g ~source ~sink
 
 let classify g ~source ~sink =
   if Solubility.soluble g ~source ~sink then A
@@ -169,7 +167,8 @@ let classify g ~source ~sink =
     else C
   end
 
-let report ?solver ?(simplify = true) g ~source ~sink =
+let report ?(simplify = true) g ~source ~sink =
   let lp_vars_before = Lp_flow.n_variables g ~source ~sink in
-  let value, cls, stage, lp_vars_after = staged ?solver ~simplify g ~source ~sink in
+  let value, cls, stage, solved = staged ~simplify g ~source ~sink in
+  let lp_vars_after = match solved with Some g' -> Lp_flow.n_variables g' ~source ~sink | None -> 0 in
   { value; cls; stage; lp_vars_before; lp_vars_after }

@@ -6,10 +6,14 @@
       the greedy flow, not necessarily the maximum.
     - [Lp]: direct LP formulation of the maximum flow (baseline).
     - [Pre]: greedy-solubility test, then preprocessing (Algorithm 1),
-      then re-test, then LP only if still needed.
+      then re-test; a residual that still needs a maximum-flow solver
+      is solved by Dinic on the send-time-compressed time-expanded
+      network ({!Tin_maxflow.max_flow}), not by the paper's LP.
     - [Pre_sim]: [Pre] plus graph simplification (Algorithm 2) before
-      the LP — the paper's complete solution.
-    - [Time_expanded]: Dinic on the time-expanded static network. *)
+      the Dinic solve — the paper's complete solution, with the
+      solver swapped.
+    - [Time_expanded]: Dinic on the event-time expanded static network
+      ({!Tin_maxflow.Time_expand}), kept as an independent oracle. *)
 
 type method_ = Greedy | Lp | Pre | Pre_sim | Time_expanded
 
@@ -18,7 +22,8 @@ val method_name : method_ -> string
 
 (** Difficulty classes of Section 6.2: [A] = greedy-soluble as given;
     [B] = greedy-soluble after preprocessing (including the degenerate
-    zero-flow case); [C] = needs the LP even after preprocessing. *)
+    zero-flow case); [C] = needs a maximum-flow solver even after
+    preprocessing. *)
 type cls = A | B | C
 
 val cls_name : cls -> string
@@ -28,11 +33,11 @@ val cls_name : cls -> string
     every accelerated path is exercised and value-preserving. *)
 type stage =
   | Soluble_as_given  (** Greedy sufficed on the input (Lemma 2). *)
-  | Cyclic_fallback  (** Not a DAG: time-expanded Dinic. *)
+  | Cyclic_fallback  (** Not a DAG: Dinic on the unreduced graph. *)
   | Zero_after_preprocess  (** Preprocessing proved zero flow. *)
   | Soluble_after_preprocess  (** Greedy sufficed after Algorithm 1. *)
   | Soluble_after_simplify  (** Greedy sufficed after Algorithm 2. *)
-  | Lp_solve  (** Full LP on the reduced graph. *)
+  | Dinic_solve  (** Dinic on the reduced graph. *)
 
 val stage_name : stage -> string
 
@@ -43,13 +48,15 @@ type report = {
   lp_vars_before : int;
       (** LP variables of the direct formulation (problem size). *)
   lp_vars_after : int;
-      (** LP variables actually solved after reduction (0 when greedy
-          sufficed). *)
+      (** LP-variable size of the reduced problem the final solve ran
+          on: the graph [Dinic_solve] solved, measured as
+          {!Lp_flow.n_variables}; 0 for every other stage. *)
 }
 
 exception Solver_failure of string
-(** Raised when the LP solver reports unbounded/iteration-limit —
-    does not happen on well-formed finite problems. *)
+(** Raised when the LP solver of the [Lp] method reports
+    unbounded/iteration-limit — does not happen on well-formed finite
+    problems. *)
 
 val compute :
   ?solver:Tin_lp.Problem.solver ->
@@ -61,15 +68,13 @@ val compute :
 (** Flow value from [source] to [sink] by the given method.  For
     [Greedy] this is the greedy flow; for all other methods the
     maximum flow.  On cyclic graphs [Pre]/[Pre_sim] skip the DAG-only
-    accelerators and fall back to the time-expanded reduction (which,
-    like [Lp] and [Time_expanded], is structure-agnostic).  [solver]
-    selects the simplex variant for the LP stages of [Lp], [Pre] and
-    [Pre_sim] (default [`Auto]); [Greedy] and [Time_expanded] ignore
-    it.
-    @raise Solver_failure on solver breakdown. *)
+    accelerators and run Dinic on the unreduced graph (which, like
+    [Lp] and [Time_expanded], is structure-agnostic).  [solver]
+    selects the simplex variant of the [Lp] method (default [`Auto]);
+    every other method ignores it.
+    @raise Solver_failure on LP breakdown ([Lp] only). *)
 
 val max_flow :
-  ?solver:Tin_lp.Problem.solver ->
   Graph.t ->
   source:Graph.vertex ->
   sink:Graph.vertex ->
@@ -80,7 +85,6 @@ val classify : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> cls
 (** Difficulty class of a DAG (used to bucket benchmark subgraphs). *)
 
 val report :
-  ?solver:Tin_lp.Problem.solver ->
   ?simplify:bool ->
   Graph.t ->
   source:Graph.vertex ->

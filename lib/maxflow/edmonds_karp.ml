@@ -3,6 +3,7 @@ let eps = Tin_util.Fcmp.(default_policy.path_eps)
 let max_flow net ~source ~sink =
   if source = sink then invalid_arg "Edmonds_karp.max_flow: source = sink";
   let n = Net.n_nodes net in
+  let start, arcs = Net.adjacency net in
   let pred = Array.make n (-1) in
   (* pred.(v) = arc that reached v *)
   let queue = Queue.create () in
@@ -15,9 +16,8 @@ let max_flow net ~source ~sink =
     let found = ref false in
     while (not !found) && not (Queue.is_empty queue) do
       let v = Queue.pop queue in
-      let arcs = Net.adj net v in
-      let k = ref 0 in
-      while (not !found) && !k < Array.length arcs do
+      let k = ref start.(v) in
+      while (not !found) && !k < start.(v + 1) do
         let a = arcs.(!k) in
         incr k;
         let u = Net.dst net a in

@@ -6,8 +6,7 @@ type t = {
   mutable arc_dst : int array;
   mutable arc_res : float array;
   mutable arc_cap : float array; (* original capacity; 0 for residual twins *)
-  mutable adj_lists : arc list array; (* per node, reversed insertion order *)
-  mutable adj_cache : arc array array option;
+  mutable csr : (int array * arc array) option; (* adjacency, built on demand *)
 }
 
 let create ~n =
@@ -17,19 +16,13 @@ let create ~n =
     arc_dst = Array.make 16 0;
     arc_res = Array.make 16 0.0;
     arc_cap = Array.make 16 0.0;
-    adj_lists = Array.make (max n 1) [];
-    adj_cache = None;
+    csr = None;
   }
 
 let add_node t =
   let id = t.n in
   t.n <- t.n + 1;
-  if t.n > Array.length t.adj_lists then begin
-    let grown = Array.make (2 * t.n) [] in
-    Array.blit t.adj_lists 0 grown 0 (Array.length t.adj_lists);
-    t.adj_lists <- grown
-  end;
-  t.adj_cache <- None;
+  t.csr <- None;
   id
 
 let ensure_arc_room t =
@@ -62,9 +55,7 @@ let add_arc t ~src ~dst ~cap =
   t.arc_res.(a + 1) <- 0.0;
   t.arc_cap.(a + 1) <- 0.0;
   t.m <- t.m + 2;
-  t.adj_lists.(src) <- a :: t.adj_lists.(src);
-  t.adj_lists.(dst) <- (a + 1) :: t.adj_lists.(dst);
-  t.adj_cache <- None;
+  t.csr <- None;
   a
 
 let n_nodes t = t.n
@@ -76,15 +67,10 @@ let flow t a =
      its twin. *)
   t.arc_res.(a lxor 1) -. t.arc_cap.(a lxor 1)
 
+(* The adjacency arrays are never mutated once built, so a copy may
+   share them. *)
 let copy t =
-  {
-    t with
-    arc_dst = Array.copy t.arc_dst;
-    arc_res = Array.copy t.arc_res;
-    arc_cap = Array.copy t.arc_cap;
-    adj_lists = Array.copy t.adj_lists;
-    adj_cache = None;
-  }
+  { t with arc_dst = Array.copy t.arc_dst; arc_res = Array.copy t.arc_res; arc_cap = Array.copy t.arc_cap }
 
 let reset t =
   Array.blit t.arc_cap 0 t.arc_res 0 t.m
@@ -93,17 +79,35 @@ let dst t a = t.arc_dst.(a)
 let twin a = a lxor 1
 let residual t a = t.arc_res.(a)
 
-let augment t a f =
+let[@inline] augment t a f =
   t.arc_res.(a) <- t.arc_res.(a) -. f;
   t.arc_res.(a lxor 1) <- t.arc_res.(a lxor 1) +. f
 
-let adj t v =
-  let cache =
-    match t.adj_cache with
-    | Some c when Array.length c = t.n -> c
-    | _ ->
-        let c = Array.init t.n (fun v -> Array.of_list (List.rev t.adj_lists.(v))) in
-        t.adj_cache <- Some c;
-        c
-  in
-  cache.(v)
+(* Counting sort of the arc slots by tail node (the tail of [a] is the
+   head of its twin).  Slots are scanned in increasing id, so each
+   node's arcs come out in insertion order. *)
+let build_csr t =
+  let start = Array.make (t.n + 1) 0 in
+  for a = 0 to t.m - 1 do
+    let v = t.arc_dst.(a lxor 1) in
+    start.(v + 1) <- start.(v + 1) + 1
+  done;
+  for v = 0 to t.n - 1 do
+    start.(v + 1) <- start.(v + 1) + start.(v)
+  done;
+  let fill = Array.sub start 0 (max t.n 1) in
+  let arcs = Array.make t.m 0 in
+  for a = 0 to t.m - 1 do
+    let v = t.arc_dst.(a lxor 1) in
+    arcs.(fill.(v)) <- a;
+    fill.(v) <- fill.(v) + 1
+  done;
+  (start, arcs)
+
+let adjacency t =
+  match t.csr with
+  | Some c -> c
+  | None ->
+      let c = build_csr t in
+      t.csr <- Some c;
+      c

@@ -56,7 +56,9 @@ val augment : t -> arc -> float -> unit
 (** [augment net a f] pushes [f] units along [a]: decreases its
     residual capacity and increases the twin's. *)
 
-val adj : t -> int -> arc array
-(** All arcs (forward and residual) leaving a node in the residual
-    graph.  The array is cached; do not add arcs between solver runs
-    without rebuilding. *)
+val adjacency : t -> int array * arc array
+(** [(start, arcs)]: the arcs leaving node [v] in the residual graph
+    (forward arcs and residual twins, in insertion order) are
+    [arcs.(start.(v)) .. arcs.(start.(v + 1) - 1)].  Built once and
+    cached until the next {!add_node}/{!add_arc}; the arrays must not
+    be mutated. *)

@@ -7,6 +7,12 @@ let eps = Tin_util.Fcmp.(default_policy.path_eps)
 let max_flow net ~source ~sink =
   if source = sink then invalid_arg "Push_relabel.max_flow: source = sink";
   let n = Net.n_nodes net in
+  let start, arcs = Net.adjacency net in
+  let out v f =
+    for k = start.(v) to start.(v + 1) - 1 do
+      f arcs.(k)
+    done
+  in
   let height = Array.make n 0 in
   let excess = Array.make n 0.0 in
   let current = Array.make n 0 in
@@ -30,29 +36,25 @@ let max_flow net ~source ~sink =
   height.(source) <- n;
   Array.iteri (fun v _ -> if v <> source then height_count.(height.(v)) <- height_count.(height.(v)) + 1) height;
   (* Saturate source arcs. *)
-  Array.iter
-    (fun a ->
+  out source (fun a ->
       let r = Net.residual net a in
       if r > eps then begin
         let u = Net.dst net a in
         Net.augment net a r;
         excess.(u) <- excess.(u) +. r;
         excess.(source) <- excess.(source) -. r
-      end)
-    (Net.adj net source);
+      end);
   Array.iteri (fun v _ -> activate v) height;
   let relabel v =
     (* Find the lowest admissible height among residual arcs. *)
     let old = height.(v) in
     let best = ref max_int in
-    Array.iter
-      (fun a ->
+    out v (fun a ->
         if Net.residual net a > eps then begin
           let h = height.(Net.dst net a) in
           (* Parked neighbours (height > 2n) lead nowhere. *)
           if h <= 2 * n && h < !best then best := h
-        end)
-      (Net.adj net v);
+        end);
     if !best < max_int then begin
       (* Theory bounds heights by 2n - 1 for nodes holding excess, so
          no cap is needed. *)
@@ -80,12 +82,11 @@ let max_flow net ~source ~sink =
     end
   in
   let discharge v =
-    let arcs = Net.adj net v in
-    let m = Array.length arcs in
+    let m = start.(v + 1) - start.(v) in
     while excess.(v) > eps && height.(v) <= 2 * n do
       if current.(v) >= m then relabel v
       else begin
-        let a = arcs.(current.(v)) in
+        let a = arcs.(start.(v) + current.(v)) in
         let u = Net.dst net a in
         let r = Net.residual net a in
         if r > eps && height.(v) = height.(u) + 1 then begin

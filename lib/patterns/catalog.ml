@@ -218,7 +218,7 @@ let cyclic_instance_flow net eids ~anchor =
    exactly one precomputed row — a 2/3-cycle when source and sink
    share a label, a 2-hop chain otherwise — so the per-instance flow
    is an O(log) table lookup instead of a subgraph rebuild plus a
-   greedy/LP solve. *)
+   greedy/Dinic solve. *)
 let simple_shape (pat : Pattern.t) =
   let path = List.init (pat.Pattern.n - 1) (fun i -> (i, i + 1)) in
   if List.sort compare pat.Pattern.edges <> path then `General

@@ -8,11 +8,11 @@
     - [P2]  2-hop cycle   [a→b→a]
     - [P3]  3-hop cycle   [a→b→c→a]
     - [P4]  3-hop cycle with a return chord [b→a]  (greedy-insoluble:
-            [b] has two outgoing edges; flow needs the LP)
+            [b] has two outgoing edges; flow needs a max-flow solve)
     - [P5]  "flower": a 2-hop and a 3-hop cycle joined at [a]
             (pure merge-join of the L2 and L3 tables)
     - [P6]  3-hop cycle with both chords [a→c] and [b→a] — the
-            Figure-3 shape after splitting; LP-soluble only
+            Figure-3 shape after splitting; needs a max-flow solve
 
     Relaxed patterns (Section 5.3): any number of vertex-disjoint
     parallel paths, flows aggregated per anchor:

@@ -145,7 +145,7 @@ let oracle_names =
   [ "greedy" ]
   @ List.map fst lp_solvers
   @ List.map fst te_algos
-  @ [ "pipeline:pre"; "pipeline:presim" ]
+  @ [ "te:events"; "pipeline:pre"; "pipeline:presim" ]
   @ [ "decomp"; "prov:lrb"; "prov:mrb"; "prov:prop" ]
 
 let check ?(policy = Fcmp.default_policy) ?(extra = []) g ~source ~sink =
@@ -251,6 +251,12 @@ let check ?(policy = Fcmp.default_policy) ?(extra = []) g ~source ~sink =
       | Some v -> record name v
       | None -> ())
     te_algos;
+  (* The production engine (the pipelines' final solve) on the raw,
+     unreduced instance, so every case exercises it, not only the
+     class-C residuals the pipelines hand it. *)
+  (match guarded "te:events" (fun () -> Tin_maxflow.max_flow g ~source ~sink) with
+  | Some v -> record "te:events" v
+  | None -> ());
   (* The accelerated pipeline with the simplification stage toggled on
      and off, plus any caller-injected oracles. *)
   List.iter

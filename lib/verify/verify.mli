@@ -3,7 +3,9 @@
     Given any TIN and a source/sink pair, {!check} runs every
     independent way this codebase can compute the flow — the greedy
     scan, each LP solver variant, each static max-flow algorithm over
-    the time-expanded reduction, and the accelerated pipeline with its
+    the time-expanded reduction, the production Dinic engine
+    ({!Tin_maxflow.max_flow}, oracle [te:events]) on the raw,
+    unreduced instance, and the accelerated pipeline with its
     preprocessing stages toggled on and off — and tests the full
     invariant lattice relating them:
 
@@ -67,7 +69,7 @@ type outcome = {
 val pp_discrepancy : Format.formatter -> discrepancy -> unit
 
 val oracle_names : string list
-(** Names of the built-in oracles, for reporting. *)
+(** Names of the 14 built-in oracles, for reporting. *)
 
 val check :
   ?policy:Tin_util.Fcmp.policy ->

@@ -1,5 +1,6 @@
 (* Classical (non-temporal) max-flow substrate: residual networks,
-   Edmonds-Karp, Dinic, and the time-expanded reduction. *)
+   Edmonds-Karp, Dinic, the time-expanded reduction, and the
+   send-time-compressed engine the pipelines finish with. *)
 
 open Tin_testlib
 module Net = Tin_maxflow.Net
@@ -169,6 +170,76 @@ let test_te_incoming_to_source_ignored () =
   in
   Alcotest.(check (float 1e-9)) "flow unaffected by backwash" 4.0 (TE.max_flow g ~source:0 ~sink:2)
 
+(* --- send-time-compressed engine --- *)
+
+let engine g ~source ~sink = Tin_maxflow.max_flow g ~source ~sink
+
+let test_engine_fig3 () =
+  Alcotest.(check (float 1e-9)) "paper Fig. 3" 5.0
+    (engine Paper_examples.fig3 ~source:Paper_examples.s ~sink:Paper_examples.t)
+
+let test_engine_arrival_at_send_time () =
+  (* What 1 receives at t = 2 is not spendable by its send at t = 2,
+     only by the one at t = 3. *)
+  let g = Graph.of_edges [ (0, 1, [ (2.0, 5.0) ]); (1, 2, [ (2.0, 5.0) ]) ] in
+  Alcotest.(check (float 1e-9)) "not forwarded at the same instant" 0.0 (engine g ~source:0 ~sink:2);
+  let g = Graph.of_edges [ (0, 1, [ (2.0, 5.0) ]); (1, 2, [ (2.0, 5.0); (3.0, 4.0) ]) ] in
+  Alcotest.(check (float 1e-9)) "forwarded by the next send" 4.0 (engine g ~source:0 ~sink:2)
+
+let test_engine_same_time_sends () =
+  (* Two sends of vertex 1 at t = 3, to different receivers, draw on
+     the one buffer node: together they cannot move more than the 5
+     units received before t = 3. *)
+  let g =
+    Graph.of_edges
+      [
+        (0, 1, [ (1.0, 5.0) ]);
+        (1, 2, [ (3.0, 4.0) ]);
+        (1, 3, [ (3.0, 4.0) ]);
+        (2, 3, [ (4.0, 10.0) ]);
+      ]
+  in
+  Alcotest.(check (float 1e-9)) "shared buffer" 5.0 (engine g ~source:0 ~sink:3)
+
+let test_engine_infinite_quantities () =
+  let syn time qty = [ Interaction.unchecked ~time ~qty ] in
+  let g =
+    Graph.add_edge
+      (Graph.add_edge
+         (Graph.add_edge Graph.empty ~src:0 ~dst:1 (syn neg_infinity infinity))
+         ~src:1 ~dst:2
+         [ Interaction.make ~time:5.0 ~qty:7.0 ])
+      ~src:2 ~dst:3 (syn infinity infinity)
+  in
+  Alcotest.(check (float 1e-9)) "finite bottleneck" 7.0 (engine g ~source:0 ~sink:3)
+
+let test_engine_direct_source_sink () =
+  let g = Graph.of_edges [ (0, 2, [ (1.0, 3.0) ]); (0, 1, [ (1.0, 2.0) ]); (1, 2, [ (2.0, 2.0) ]) ] in
+  Alcotest.(check (float 1e-9)) "direct plus relayed" 5.0 (engine g ~source:0 ~sink:2)
+
+let test_engine_terminals_carry_nothing () =
+  (* The sink's send to 1 (100 units at t = 0) and 1's send back into
+     the source carry nothing; only the source's 2 units reach 3. *)
+  let g =
+    Graph.of_edges
+      [ (0, 1, [ (1.0, 2.0) ]); (3, 1, [ (0.0, 100.0) ]); (1, 0, [ (1.5, 2.0) ]); (1, 3, [ (2.0, 50.0) ]) ]
+  in
+  Alcotest.(check (float 1e-9)) "terminals" 2.0 (engine g ~source:0 ~sink:3)
+
+let test_engine_dead_arrivals () =
+  (* 1 receives at t = 5, after its only send at t = 1: the arrival is
+     dead, and must not leak into vertex 2's nodes, which come next. *)
+  let g = Graph.of_edges [ (0, 1, [ (5.0, 10.0) ]); (1, 3, [ (1.0, 4.0) ]); (2, 3, [ (6.0, 10.0) ]) ] in
+  Alcotest.(check (float 1e-9)) "dead arrival" 0.0 (engine g ~source:0 ~sink:3)
+
+let test_engine_class_c_stage () =
+  (* A class-C DAG whose residual after Algorithms 1 and 2 still needs
+     a max-flow solve: the pipeline reports the Dinic stage. *)
+  let r = Tin_core.Pipeline.report Paper_examples.fig3 ~source:Paper_examples.s ~sink:Paper_examples.t in
+  Alcotest.(check bool) "class C" true (r.Tin_core.Pipeline.cls = Tin_core.Pipeline.C);
+  Alcotest.(check string) "stage" "dinic-solve" (Tin_core.Pipeline.stage_name r.Tin_core.Pipeline.stage);
+  Alcotest.(check (float 1e-9)) "value" 5.0 r.Tin_core.Pipeline.value
+
 let () =
   Alcotest.run "maxflow"
     [
@@ -196,5 +267,16 @@ let () =
           Alcotest.test_case "infinite quantities" `Quick test_te_infinite_quantities;
           Alcotest.test_case "structure" `Quick test_te_structure;
           Alcotest.test_case "incoming to source" `Quick test_te_incoming_to_source_ignored;
+        ] );
+      ( "engine",
+        [
+          Alcotest.test_case "figure 3" `Quick test_engine_fig3;
+          Alcotest.test_case "arrival at a send time" `Quick test_engine_arrival_at_send_time;
+          Alcotest.test_case "same-time sends share a node" `Quick test_engine_same_time_sends;
+          Alcotest.test_case "infinite quantities" `Quick test_engine_infinite_quantities;
+          Alcotest.test_case "direct source-sink" `Quick test_engine_direct_source_sink;
+          Alcotest.test_case "terminals carry nothing" `Quick test_engine_terminals_carry_nothing;
+          Alcotest.test_case "dead arrivals" `Quick test_engine_dead_arrivals;
+          Alcotest.test_case "class C runs Dinic" `Quick test_engine_class_c_stage;
         ] );
     ]

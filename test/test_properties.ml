@@ -38,6 +38,16 @@ let prop_lp_eq_dinic_cyclic rng =
   let g, source, sink = Gen.random_digraph rng in
   Fcmp.approx_eq ~eps (lp_exn g ~source ~sink) (TE.max_flow g ~source ~sink)
 
+let prop_engine_eq_lp_and_te rng =
+  (* The send-time-compressed engine against both independent
+     formulations, on a general (cyclic) digraph and on a DAG. *)
+  List.for_all
+    (fun (g, source, sink) ->
+      let v = Tin_maxflow.max_flow g ~source ~sink in
+      Fcmp.approx_eq ~eps v (lp_exn g ~source ~sink)
+      && Fcmp.approx_eq ~eps v (TE.max_flow g ~source ~sink))
+    [ Gen.random_digraph rng; Gen.random_dag rng ]
+
 let prop_dinic_eq_ek rng =
   let g, source, sink = Gen.random_digraph rng in
   Fcmp.approx_eq ~eps
@@ -244,6 +254,7 @@ let () =
           Check.seeded_property "greedy <= max" prop_greedy_le_max;
           Check.seeded_property "LP = Dinic (DAGs)" prop_lp_eq_dinic;
           Check.seeded_property "LP = Dinic (cyclic)" prop_lp_eq_dinic_cyclic;
+          Check.seeded_property "max_flow engine = LP = time-expanded" prop_engine_eq_lp_and_te;
           Check.seeded_property "Dinic = Edmonds-Karp" prop_dinic_eq_ek;
           Check.seeded_property "push-relabel = Dinic" prop_push_relabel_eq_dinic;
           Check.seeded_property ~count:80 "push-relabel = Dinic (larger)"
