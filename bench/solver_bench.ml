@@ -1,6 +1,6 @@
-(* Solver benchmark: dense two-phase simplex vs bounded tableau vs
-   sparse revised simplex on the extracted flow LPs (per difficulty
-   class), plus multicore batch throughput across Domains.  Results are
+(* Solver benchmark: dense two-phase simplex (upper bounds as explicit
+   rows) vs sparse revised simplex (native bounds) on the extracted
+   flow LPs (per difficulty class), plus multicore batch throughput across Domains.  Results are
    printed as tables and written machine-readable to a JSON file
    (default BENCH_flow.json) for regression tracking. *)
 
@@ -13,15 +13,14 @@ module Timer = Tin_util.Timer
 module Stats = Tin_util.Stats
 module Fcmp = Tin_util.Fcmp
 
-let solvers : (string * Tin_lp.Problem.solver) list =
-  [ ("dense", `Dense); ("bounded", `Bounded); ("sparse", `Sparse) ]
+let solvers = [ ("dense", true); ("sparse", false) ]
 
 type measured = {
   cls : Pipeline.cls;
   times : (string * float) list; (* solver name -> ms *)
 }
 
-(* One problem, all solvers, with a value-agreement guard: the three
+(* One problem, both solvers, with a value-agreement guard: the two
    simplex variants must produce the same flow — any gap is a solver
    bug, not noise. *)
 let measure_problem (p : Extract.problem) =
@@ -29,8 +28,8 @@ let measure_problem (p : Extract.problem) =
   let cls = Pipeline.classify g ~source ~sink in
   let runs =
     List.map
-      (fun (name, solver) ->
-        let v, ms = Timer.time_ms (fun () -> Lp_flow.solve ~solver g ~source ~sink) in
+      (fun (name, dense) ->
+        let v, ms = Timer.time_ms (fun () -> Lp_flow.solve ~dense g ~source ~sink) in
         let v =
           match v with
           | Ok v -> v
@@ -138,9 +137,9 @@ let obs_snapshot problems =
   List.iter
     (fun (p : Extract.problem) ->
       List.iter
-        (fun (_, solver) ->
+        (fun (_, dense) ->
           ignore
-            (Lp_flow.solve ~solver p.Extract.graph ~source:p.Extract.source ~sink:p.Extract.sink))
+            (Lp_flow.solve ~dense p.Extract.graph ~source:p.Extract.source ~sink:p.Extract.sink))
         solvers)
     problems;
   Obs.disable ();
@@ -233,7 +232,7 @@ let solver_table name classes =
     ~header:("Subgraphs" :: List.map (fun (n, _) -> n) solvers)
     (List.map
        (fun c ->
-         if c.count = 0 then [ c.label ^ " (0)"; "-"; "-"; "-" ]
+         if c.count = 0 then (c.label ^ " (0)") :: List.map (fun _ -> "-") solvers
          else
            Printf.sprintf "%s (%d)" c.label c.count
            :: List.map (fun (_, ms) -> Table.fmt_ms ms) c.solver_ms)

@@ -29,14 +29,11 @@ type problem = { graph : Graph.t; source : Graph.vertex; sink : Graph.vertex }
 val max_flows :
   ?jobs:int ->
   ?chunk:int ->
-  ?solver:Tin_lp.Problem.solver ->
   ?method_:Pipeline.method_ ->
   problem list ->
   float list
 (** Flow value of every problem, in order, computed across domains.
-    [method_] defaults to {!Pipeline.Pre_sim}; [solver] selects the
-    simplex variant of the [Lp] method (default [`Auto]), which is the
-    only method that runs an LP.
+    [method_] defaults to {!Pipeline.Pre_sim}.
     @raise Pipeline.Solver_failure as {!Pipeline.compute}. *)
 
 val map_reduce :

@@ -68,10 +68,9 @@ let build g ~source ~sink =
         is)
     g;
   (* Buffer constraints, one per distinct sending timestamp per vertex.
-     Scanning events in time order with incoming-before-outgoing at
-     equal... no: outgoing at τ may NOT use arrivals at τ, so at each
-     distinct outgoing timestamp τ we bound cumulative outgoing (≤ τ)
-     by cumulative incoming (< τ). *)
+     Outgoing at τ may not use arrivals at τ, so at each distinct
+     outgoing timestamp τ cumulative outgoing (≤ τ) is bounded by
+     cumulative incoming (< τ). *)
   let n_rows = ref 0 in
   Hashtbl.iter
     (fun v evs ->
@@ -144,11 +143,11 @@ let assignments lp value =
          { src; dst; interaction; amount = Interaction.qty interaction })
        lp.fixed_interactions)
 
-let solve_detailed ?solver ?eps ?max_iters g ~source ~sink =
+let solve_detailed ?dense ?eps ?max_iters g ~source ~sink =
   let lp = build g ~source ~sink in
   if lp.n_vars = 0 then Ok (lp.fixed_into_sink, assignments lp (fun _ -> 0.0))
   else
-    let sol = Problem.solve ?solver ?eps ?max_iters lp.problem in
+    let sol = Problem.solve ?dense ?eps ?max_iters lp.problem in
     match sol.Problem.status with
     | `Optimal ->
         Ok (sol.Problem.objective +. lp.fixed_into_sink, assignments lp sol.Problem.value)
@@ -156,8 +155,8 @@ let solve_detailed ?solver ?eps ?max_iters g ~source ~sink =
     | `Infeasible -> Error `Infeasible
     | `Iteration_limit -> Error `Iteration_limit
 
-let solve ?solver ?eps ?max_iters g ~source ~sink =
-  Result.map fst (solve_detailed ?solver ?eps ?max_iters g ~source ~sink)
+let solve ?dense ?eps ?max_iters g ~source ~sink =
+  Result.map fst (solve_detailed ?dense ?eps ?max_iters g ~source ~sink)
 
 let n_variables g ~source ~sink =
   Graph.fold_edges

@@ -43,7 +43,7 @@ val build : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> lp
     @raise Invalid_argument if [source = sink]. *)
 
 val solve :
-  ?solver:Tin_lp.Problem.solver ->
+  ?dense:bool ->
   ?eps:float ->
   ?max_iters:int ->
   Graph.t ->
@@ -53,16 +53,14 @@ val solve :
 (** Builds and solves; [Ok flow] on success.  [`Infeasible] cannot
     happen on well-formed inputs ([x = 0] is always feasible) and
     [`Unbounded] only on graphs with an all-infinite source→sink
-    path.  [solver] selects the simplex variant (default [`Auto]:
-    flow LPs always fit the bounded-variable shape, so [`Auto] routes
-    between the sparse revised simplex — large, sparse instances — and
-    the dense bounded tableau); [`Dense] forces the row-based
-    two-phase simplex and [`Sparse]/[`Bounded] the respective native
-    bounded solvers, the configurations compared by the solver
-    benchmark ([bench/main.exe solvers]). *)
+    path.  Flow LPs are origin-feasible box LPs, so
+    {!Tin_lp.Problem.solve} runs the sparse revised simplex; [dense]
+    (default [false]) forces the row-based two-phase simplex instead,
+    the independent reference that the verifier and the solver
+    benchmark ([bench/main.exe solvers]) compare it against. *)
 
 val solve_detailed :
-  ?solver:Tin_lp.Problem.solver ->
+  ?dense:bool ->
   ?eps:float ->
   ?max_iters:int ->
   Graph.t ->

@@ -71,8 +71,8 @@ type report = {
 
 exception Solver_failure of string
 
-let solve_lp ?solver g ~source ~sink =
-  match Lp_flow.solve ?solver g ~source ~sink with
+let solve_lp g ~source ~sink =
+  match Lp_flow.solve g ~source ~sink with
   | Ok v -> v
   | Error `Unbounded -> raise (Solver_failure "LP unbounded (all-infinite source-sink path?)")
   | Error `Infeasible -> raise (Solver_failure "LP infeasible (internal error)")
@@ -144,10 +144,10 @@ let staged ~simplify g ~source ~sink =
   count_stage stage;
   result
 
-let compute ?solver method_ g ~source ~sink =
+let compute method_ g ~source ~sink =
   match method_ with
   | Greedy -> Greedy.flow g ~source ~sink
-  | Lp -> solve_lp ?solver g ~source ~sink
+  | Lp -> solve_lp g ~source ~sink
   | Pre ->
       let v, _, _, _ = staged ~simplify:false g ~source ~sink in
       v

@@ -59,7 +59,6 @@ exception Solver_failure of string
     problems. *)
 
 val compute :
-  ?solver:Tin_lp.Problem.solver ->
   method_ ->
   Graph.t ->
   source:Graph.vertex ->
@@ -69,9 +68,7 @@ val compute :
     [Greedy] this is the greedy flow; for all other methods the
     maximum flow.  On cyclic graphs [Pre]/[Pre_sim] skip the DAG-only
     accelerators and run Dinic on the unreduced graph (which, like
-    [Lp] and [Time_expanded], is structure-agnostic).  [solver]
-    selects the simplex variant of the [Lp] method (default [`Auto]);
-    every other method ignores it.
+    [Lp] and [Time_expanded], is structure-agnostic).
     @raise Solver_failure on LP breakdown ([Lp] only). *)
 
 val max_flow :

@@ -130,9 +130,13 @@ let consume_front ctx buffer take =
 
 (* Select the provenance of [take] units leaving a buffer whose scalar
    total is [avail] (> 0).  Returns the moved batch in key order and
-   the remaining buffer. *)
+   the remaining buffer.  A [take] that drains the scalar total moves
+   the whole buffer under every policy: the entry masses can exceed
+   the scalar when it rounded a small arrival away (2e18 + 2 = 2e18),
+   and the vector must drain with the scalar. *)
 let select ctx policy buffer ~take ~avail =
   match policy with
+  | _ when take >= avail -> (buffer, [])
   | Lrb -> consume_front ctx buffer take
   | Mrb ->
       let moved, kept = consume_front ctx (List.rev buffer) take in

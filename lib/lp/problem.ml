@@ -74,16 +74,7 @@ type mapping =
   | Shift of int * float (* x = std.(i) + offset *)
   | Split of int * int (* x = std.(i) - std.(j) *)
 
-type solver = [ `Auto | `Dense | `Bounded | `Sparse ]
-
-(* `Auto picks `Sparse over `Bounded when the constraint matrix is
-   large and empty enough that the revised simplex's per-iteration
-   cost (O(nnz) pricing + eta-file solves) beats the dense tableau's
-   O(m·(n+m)) pivot. *)
-let sparse_min_cells = 4096
-let sparse_max_density = 0.25
-
-let solve ?(solver = `Auto) ?eps ?max_iters ?metrics t =
+let solve ?(dense = false) ?eps ?max_iters ?metrics t =
   t.frozen <- true;
   let vars = Array.sub t.vars 0 t.nvars in
   let nv = Array.length vars in
@@ -103,33 +94,15 @@ let solve ?(solver = `Auto) ?eps ?max_iters ?metrics t =
   (* Objective over standard variables; Minimize flips the sign. *)
   let sign = match t.direction with Maximize -> 1.0 | Minimize -> -1.0 in
   let c = Array.make n 0.0 in
-  let obj_const = ref 0.0 in
   Array.iteri
     (fun i { obj; _ } ->
       match mapping.(i) with
-      | Shift (j, off) ->
-          c.(j) <- c.(j) +. (sign *. obj);
-          obj_const := !obj_const +. (obj *. off)
+      | Shift (j, _) -> c.(j) <- c.(j) +. (sign *. obj)
       | Split (jp, jm) ->
           c.(jp) <- c.(jp) +. (sign *. obj);
           c.(jm) <- c.(jm) -. (sign *. obj))
     vars;
-  (* Dense row expansion — only for the `Dense / `Bounded paths. *)
-  let expand terms =
-    let coefs = Array.make n 0.0 and const = ref 0.0 in
-    List.iter
-      (fun (coef, v) ->
-        match mapping.(v) with
-        | Shift (j, off) ->
-            coefs.(j) <- coefs.(j) +. coef;
-            const := !const +. (coef *. off)
-        | Split (jp, jm) ->
-            coefs.(jp) <- coefs.(jp) +. coef;
-            coefs.(jm) <- coefs.(jm) -. coef)
-      terms;
-    (coefs, !const)
-  in
-  (* Shape test without densifying: the bounded/sparse solvers handle
+  (* Shape test without densifying: the sparse solver handles
      [0 <= y <= u] natively when every row is a <= with non-negative
      (shift-adjusted) rhs and no variable was split. *)
   let row_const terms =
@@ -138,107 +111,78 @@ let solve ?(solver = `Auto) ?eps ?max_iters ?metrics t =
         match mapping.(v) with Shift (_, off) -> acc +. (coef *. off) | Split _ -> acc)
       0.0 terms
   in
-  let bounded_ok =
+  let box_shaped =
     Array.for_all (fun m -> match m with Shift _ -> true | Split _ -> false) mapping
     && List.for_all
          (fun (terms, sense, rhs) -> sense = Simplex.Le && rhs -. row_const terms >= 0.0)
          t.rows
   in
-  let bounded_shape_msg name =
-    Printf.sprintf "Problem.solve: %s requires <= rows, non-negative rhs, no free vars" name
-  in
-  let choice =
-    match solver with
-    | `Dense -> `Dense
-    | `Bounded ->
-        if not bounded_ok then invalid_arg (bounded_shape_msg "`Bounded");
-        `Bounded
-    | `Sparse ->
-        if not bounded_ok then invalid_arg (bounded_shape_msg "`Sparse");
-        `Sparse
-    | `Auto ->
-        if not bounded_ok then `Dense
-        else if t.nrows * n >= sparse_min_cells then begin
-          let nnz =
-            List.fold_left (fun acc (terms, _, _) -> acc + List.length terms) 0 t.rows
-          in
-          let density = float_of_int nnz /. (float_of_int t.nrows *. float_of_int n) in
-          if density <= sparse_max_density then `Sparse else `Bounded
-        end
-        else `Bounded
-  in
-  let native_upper () =
+  let solve_sparse () =
+    (* Build CSC storage straight from the term lists — no
+       densification.  [t.rows] is reversed, so row [k] of the list is
+       constraint [nrows - 1 - k]; duplicate terms may produce duplicate
+       (row, coef) entries, which the solver sums. *)
+    let m = t.nrows in
+    let srhs = Array.make m 0.0 in
+    let cols = Array.make n [] in
+    List.iteri
+      (fun k (terms, _, rhs) ->
+        let i = m - 1 - k in
+        let const = ref 0.0 in
+        List.iter
+          (fun (coef, v) ->
+            match mapping.(v) with
+            | Shift (j, off) ->
+                cols.(j) <- (i, coef) :: cols.(j);
+                const := !const +. (coef *. off)
+            | Split _ -> assert false)
+          terms;
+        srhs.(i) <- rhs -. !const)
+      t.rows;
     let upper = Array.make n infinity in
     Array.iteri
       (fun i { ub; _ } ->
-        match mapping.(i) with
-        | Shift (j, off) -> upper.(j) <- ub -. off
-        | Split _ -> assert false)
+        match mapping.(i) with Shift (j, off) -> upper.(j) <- ub -. off | Split _ -> assert false)
       vars;
-    upper
+    match Sparse.solve ?eps ?max_iters ?metrics ~c ~upper ~rhs:srhs ~cols () with
+    | Sparse.Optimal { objective; solution } -> Simplex.Optimal { objective; solution }
+    | Sparse.Unbounded -> Simplex.Unbounded
+    | Sparse.Iteration_limit -> Simplex.Iteration_limit
+  in
+  let solve_dense () =
+    let expand terms =
+      let coefs = Array.make n 0.0 and const = ref 0.0 in
+      List.iter
+        (fun (coef, v) ->
+          match mapping.(v) with
+          | Shift (j, off) ->
+              coefs.(j) <- coefs.(j) +. coef;
+              const := !const +. (coef *. off)
+          | Split (jp, jm) ->
+              coefs.(jp) <- coefs.(jp) +. coef;
+              coefs.(jm) <- coefs.(jm) -. coef)
+        terms;
+      (coefs, !const)
+    in
+    let rows = ref [] in
+    List.iter
+      (fun (terms, sense, rhs) ->
+        let coefs, const = expand terms in
+        rows := (coefs, sense, rhs -. const) :: !rows)
+      t.rows;
+    (* Finite upper bounds as explicit rows. *)
+    Array.iteri
+      (fun i { ub; _ } ->
+        if ub < infinity then begin
+          let coefs, const = expand [ (1.0, i) ] in
+          rows := (coefs, Simplex.Le, ub -. const) :: !rows
+        end)
+      vars;
+    Simplex.solve ?eps ?max_iters ?metrics ~c ~rows:!rows ()
   in
   let outcome =
-    let compute () =
-      match choice with
-      | `Sparse ->
-        (* Build CSC storage straight from the term lists — no
-           densification.  [t.rows] is reversed, so row [k] of the list
-           is constraint [nrows - 1 - k]; duplicate terms may produce
-           duplicate (row, coef) entries, which the solver sums. *)
-        let m = t.nrows in
-        let srhs = Array.make m 0.0 in
-        let cols = Array.make n [] in
-        List.iteri
-          (fun k (terms, _, rhs) ->
-            let i = m - 1 - k in
-            let const = ref 0.0 in
-            List.iter
-              (fun (coef, v) ->
-                match mapping.(v) with
-                | Shift (j, off) ->
-                    cols.(j) <- (i, coef) :: cols.(j);
-                    const := !const +. (coef *. off)
-                | Split _ -> assert false)
-              terms;
-            srhs.(i) <- rhs -. !const)
-          t.rows;
-        (match
-           Sparse.solve ?eps ?max_iters ?metrics ~c ~upper:(native_upper ()) ~rhs:srhs ~cols ()
-         with
-        | Sparse.Optimal { objective; solution } -> Simplex.Optimal { objective; solution }
-        | Sparse.Unbounded -> Simplex.Unbounded
-        | Sparse.Iteration_limit -> Simplex.Iteration_limit)
-    | `Bounded ->
-        let brows =
-          List.rev_map
-            (fun (terms, _, rhs) ->
-              let coefs, const = expand terms in
-              (coefs, rhs -. const))
-            t.rows
-        in
-        (match Bounded.solve ?eps ?max_iters ?metrics ~c ~upper:(native_upper ()) ~rows:brows () with
-        | Bounded.Optimal { objective; solution } -> Simplex.Optimal { objective; solution }
-        | Bounded.Unbounded -> Simplex.Unbounded
-        | Bounded.Iteration_limit -> Simplex.Iteration_limit)
-    | `Dense ->
-        let rows = ref [] in
-        List.iter
-          (fun (terms, sense, rhs) ->
-            let coefs, const = expand terms in
-            rows := (coefs, sense, rhs -. const) :: !rows)
-          t.rows;
-        (* Finite upper bounds as explicit rows. *)
-        Array.iteri
-          (fun i { ub; _ } ->
-            if ub < infinity then begin
-              let coefs, const = expand [ (1.0, i) ] in
-              rows := (coefs, Simplex.Le, ub -. const) :: !rows
-            end)
-          vars;
-        Simplex.solve ?eps ?max_iters ?metrics ~c ~rows:!rows ()
-    in
-    let solver_name =
-      match choice with `Sparse -> "sparse" | `Bounded -> "bounded" | `Dense -> "dense"
+    let compute, solver_name =
+      if box_shaped && not dense then (solve_sparse, "sparse") else (solve_dense, "dense")
     in
     (* Latency histogram per backend; the clock reads are gated so the
        disabled path stays syscall-free. *)
@@ -275,7 +219,6 @@ let solve ?(solver = `Auto) ?eps ?max_iters ?metrics t =
         Array.to_list (Array.mapi (fun i { obj; _ } -> obj *. value i) vars)
         |> List.fold_left ( +. ) 0.0
       in
-      ignore !obj_const;
       { status = `Optimal; objective; value }
   | Simplex.Infeasible -> { status = `Infeasible; objective = 0.0; value = (fun _ -> 0.0) }
   | Simplex.Unbounded -> { status = `Unbounded; objective = 0.0; value = (fun _ -> 0.0) }

@@ -3,9 +3,9 @@
     A mutable problem builder in the style of classic LP libraries
     (the paper's implementation used lpsolve): create variables with
     bounds and objective coefficients, add linear constraints, then
-    {!solve}.  General bounds are reduced to the standard form expected
-    by {!Simplex}: positive lower bounds are shifted away, finite upper
-    bounds become rows, and free variables are split. *)
+    {!solve}.  General bounds are reduced to non-negative standard
+    variables: positive lower bounds are shifted away and free
+    variables are split. *)
 
 type t
 type var
@@ -42,26 +42,23 @@ val n_constraints : t -> int
 
 val var_name : t -> var -> string
 
-type solver = [ `Auto | `Dense | `Bounded | `Sparse ]
-(** [`Dense] is the two-phase row simplex ({!Simplex}: any
-    constraints); [`Bounded] the bounded-variable simplex
-    ({!Bounded}: only [≤] rows feasible at the lower-bound origin,
-    but upper bounds cost no extra rows); [`Sparse] the
-    bounded-variable {e revised} simplex ({!Sparse}: same shape as
-    [`Bounded], but column-wise sparse storage built straight from the
-    term lists and an eta-file basis inverse — no tableau).  [`Auto]
-    picks [`Dense] when the shape demands it, [`Sparse] when the
-    constraint matrix is large ([rows × cols ≥ 4096]) and sparse
-    (density ≤ 0.25), and [`Bounded] otherwise. *)
-
 val solve :
-  ?solver:solver -> ?eps:float -> ?max_iters:int -> ?metrics:Solver_metrics.t -> t -> solution
+  ?dense:bool -> ?eps:float -> ?max_iters:int -> ?metrics:Solver_metrics.t -> t -> solution
 (** Solves the problem.  The builder is frozen afterwards.
+
+    The solver follows from the problem's shape.  A box LP that is
+    feasible at its lower-bound origin — every row a [≤] with
+    non-negative rhs once positive lower bounds are shifted away, and
+    no free variable, as every flow LP is — goes to {!Sparse}, the
+    bounded-variable revised simplex, which keeps upper bounds native.
+    Any other problem goes to the dense two-phase {!Simplex}, with
+    finite upper bounds as explicit rows.  [dense] (default [false])
+    sends every problem to {!Simplex}: the independent reference the
+    verifier, the solver benchmark and the tests compare {!Sparse}
+    against.
 
     [metrics] accumulates the backend's work counts (iterations,
     pivots, bound flips, refactorizations) into the given record; the
     same counts always feed the [lp.*] observability counters, and the
     whole call is wrapped in an ["lp.solve"] span (with solver, vars
-    and rows args) when {!Tin_obs.Obs} tracing is enabled.
-    @raise Invalid_argument if [`Bounded] or [`Sparse] is forced on a
-    problem outside its shape. *)
+    and rows args) when {!Tin_obs.Obs} tracing is enabled. *)

@@ -1,8 +1,8 @@
 module Obs = Tin_obs.Obs
 
-(* One labeled family per kind of work, shared by all three solvers:
-   a scrape reads [lp_pivots{solver="dense"}] next to
-   [lp_pivots{solver="sparse"}] instead of three unrelated names. *)
+(* One labeled family per kind of work, shared by both solvers: a
+   scrape reads [lp_pivots{solver="dense"}] next to
+   [lp_pivots{solver="sparse"}] instead of two unrelated names. *)
 let c_phase1 = Obs.Counter.(labeled (make_labeled "lp_phase1_iters" ~labels:[ "solver" ]) [ "dense" ])
 let c_phase2 = Obs.Counter.(labeled (make_labeled "lp_phase2_iters" ~labels:[ "solver" ]) [ "dense" ])
 let c_pivots = Obs.Counter.(labeled (make_labeled "lp_pivots" ~labels:[ "solver" ]) [ "dense" ])

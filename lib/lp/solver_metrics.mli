@@ -1,5 +1,5 @@
-(** Per-call solver work counts, shared by {!Simplex}, {!Bounded} and
-    {!Sparse} (and surfaced through [Problem.solve ?metrics]).
+(** Per-call solver work counts, shared by {!Simplex} and {!Sparse}
+    (and surfaced through [Problem.solve ?metrics]).
 
     Each [solve] call {e adds} its counts to the record it is handed, so
     one record can aggregate a whole batch.  An "iteration" is a pricing
@@ -14,8 +14,7 @@ type t = {
   mutable phase1_iterations : int;
       (** Dense two-phase only: the phase-1 share of [iterations]. *)
   mutable pivots : int;  (** Basis changes. *)
-  mutable bound_flips : int;
-      (** Bounded-variable solvers: nonbasic jumps between bounds. *)
+  mutable bound_flips : int;  (** Sparse only: nonbasic jumps between bounds. *)
   mutable refactorizations : int;
       (** Sparse only: eta-file rebuilds (scheduled and defensive). *)
 }

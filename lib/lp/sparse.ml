@@ -300,8 +300,9 @@ let solve ?(eps = Tin_util.Fcmp.(default_policy.pivot_eps)) ?(max_iters = 50_000
         scatter q w;
         ftran w;
         let sigma = if at_upper.(q) then -1.0 else 1.0 in
-        (* Bounded ratio test over z_i = sigma * w_i (same rules and
-           tie-breaks as Bounded.solve). *)
+        (* Ratio test with upper bounds over z_i = sigma * w_i: a basic
+           variable blocks at 0 (z > 0) or at its upper bound (z < 0);
+           ties between rows go to the lowest basic index (Bland). *)
         let t_star = ref (bound q) in
         let block = ref (-1) in
         let block_at_upper = ref false in

@@ -1,11 +1,13 @@
 (** Sparse bounded-variable revised simplex.
 
-    Solves [max c·x  s.t.  A x ≤ rhs,  0 ≤ x ≤ upper] — the same shape
-    as {!Bounded} — but stores [A] column-wise as sparse (row, coef)
-    lists and never materializes a tableau.  The basis inverse is kept
-    in product form (an eta file) with periodic refactorization, so one
-    iteration costs O(nnz) plus the eta-file work instead of the dense
-    tableau's O(m·(n+m)).  Pricing is Dantzig over a candidate list
+    Solves [max c·x  s.t.  A x ≤ rhs,  0 ≤ x ≤ upper] with [rhs ≥ 0],
+    a box LP feasible at the origin.  Upper bounds are native (a
+    nonbasic variable sits at either bound and may flip between them
+    without a pivot), so they cost no rows.  [A] is stored column-wise
+    as sparse (row, coef) lists and no tableau is ever materialized.
+    The basis inverse is kept in product form (an eta file) with
+    periodic refactorization, so one iteration costs O(nnz) plus the
+    eta-file work instead of a dense tableau's O(m·(n+m)).  Pricing is Dantzig over a candidate list
     (partial pricing) with a Bland fallback against cycling.
 
     Flow LPs (one column per interaction, one row per distinct sending
@@ -32,7 +34,7 @@ val solve :
     [A x ≤ rhs] and [0 ≤ x ≤ upper], where column [j] of [A] is given
     by [cols.(j)] as a list of [(row, coef)] pairs.  Duplicate [(row,
     coef)] entries within a column are summed.  [rhs] entries must be
-    non-negative (the origin must be feasible, as in {!Bounded}) and
+    non-negative (the origin must be feasible) and
     [upper] entries non-negative ([infinity] allowed).
     [refactor_every] bounds the eta-file length between
     refactorizations (default 64; mainly a testing knob).

@@ -3,7 +3,7 @@
     The classic static max-flow substrate.  The paper's maximum-flow
     problem reduces to static max flow on a time-expanded network
     (Akrida et al., CIAC 2017); {!Time_expand} builds that network and
-    {!Edmonds_karp} / {!Dinic} solve it, giving an oracle that is
+    {!Dinic} / {!Push_relabel} solve it, giving an oracle that is
     independent of the LP path.
 
     Arcs are stored in pairs: arc [2k] is the forward arc, arc

@@ -129,7 +129,6 @@ let build ?(buffer_capacity = fun _ -> infinity) g ~source ~sink =
 let solve_net ~algo net ~source ~sink =
   match algo with
   | `Dinic -> Dinic.max_flow net ~source ~sink
-  | `Edmonds_karp -> Edmonds_karp.max_flow net ~source ~sink
   | `Push_relabel -> Push_relabel.max_flow net ~source ~sink
 
 let max_flow ?(algo = `Dinic) ?buffer_capacity g ~source ~sink =

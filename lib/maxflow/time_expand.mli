@@ -55,13 +55,15 @@ val build :
     absent from a non-empty graph, or a capacity is negative/NaN. *)
 
 val max_flow :
-  ?algo:[ `Dinic | `Edmonds_karp | `Push_relabel ] ->
+  ?algo:[ `Dinic | `Push_relabel ] ->
   ?buffer_capacity:(Graph.vertex -> float) ->
   Graph.t ->
   source:Graph.vertex ->
   sink:Graph.vertex ->
   float
-(** Builds and solves in one go (default [`Dinic]). *)
+(** Builds and solves in one go.  [algo] picks the static solver:
+    [`Dinic] (default) or [`Push_relabel], the algorithmically
+    independent check the verifier runs against it. *)
 
 type solution = {
   value : float;
@@ -72,7 +74,7 @@ type solution = {
 }
 
 val max_flow_detailed :
-  ?algo:[ `Dinic | `Edmonds_karp | `Push_relabel ] ->
+  ?algo:[ `Dinic | `Push_relabel ] ->
   ?buffer_capacity:(Graph.vertex -> float) ->
   Graph.t ->
   source:Graph.vertex ->

@@ -10,7 +10,6 @@
 
 module Net = Net
 module Dinic = Dinic
-module Edmonds_karp = Edmonds_karp
 module Push_relabel = Push_relabel
 module Time_expand = Time_expand
 

@@ -2,8 +2,9 @@
 
     Given any TIN and a source/sink pair, {!check} runs every
     independent way this codebase can compute the flow — the greedy
-    scan, each LP solver variant, each static max-flow algorithm over
-    the time-expanded reduction, the production Dinic engine
+    scan, both LP solvers (sparse, and the dense simplex as its
+    reference), both static max-flow algorithms (Dinic, push–relabel)
+    over the time-expanded reduction, the production Dinic engine
     ({!Tin_maxflow.max_flow}, oracle [te:events]) on the raw,
     unreduced instance, and the accelerated pipeline with its
     preprocessing stages toggled on and off — and tests the full
@@ -69,7 +70,7 @@ type outcome = {
 val pp_discrepancy : Format.formatter -> discrepancy -> unit
 
 val oracle_names : string list
-(** Names of the 14 built-in oracles, for reporting. *)
+(** Names of the 12 built-in oracles, for reporting. *)
 
 val check :
   ?policy:Tin_util.Fcmp.policy ->

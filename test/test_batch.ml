@@ -150,18 +150,18 @@ let test_max_flows_matches_sequential () =
         (List.combine sequential parallel))
     [ 1; 2; 4 ]
 
-let test_max_flows_solver_and_method () =
+let test_max_flows_method () =
   let rng = Prng.create ~seed:11 in
   let problems =
     List.init 12 (fun _ ->
         let graph, source, sink = Gen.random_dag rng in
         { Batch.graph; source; sink })
   in
-  let via_lp_sparse = Batch.max_flows ~jobs:3 ~solver:`Sparse ~method_:Pipeline.Lp problems in
+  let via_lp = Batch.max_flows ~jobs:3 ~method_:Pipeline.Lp problems in
   let via_presim = Batch.max_flows ~jobs:3 problems in
   List.iteri
     (fun i (a, b) -> Check.check_flow (Printf.sprintf "problem %d" i) a b)
-    (List.combine via_presim via_lp_sparse)
+    (List.combine via_presim via_lp)
 
 let () =
   Alcotest.run "batch"
@@ -186,6 +186,6 @@ let () =
       ( "max_flows",
         [
           Alcotest.test_case "matches sequential pipeline" `Quick test_max_flows_matches_sequential;
-          Alcotest.test_case "solver/method knobs" `Quick test_max_flows_solver_and_method;
+          Alcotest.test_case "method knob" `Quick test_max_flows_method;
         ] );
     ]

@@ -55,6 +55,29 @@ let test_flow_split_and_method () =
   let out = check_ok "flow split" (run_capture (Printf.sprintf "flow %s --split 0 -m timeexp" csv)) in
   Alcotest.(check bool) "method output" true (contains out "TimeExp flow")
 
+(* Figure 1(a) of the paper (s = 0, x = 1, y = 2, z = 3, t = 5):
+   greedy flow 2, maximum flow 5.  The LP method and the default
+   engine must print the same maximum flow. *)
+let test_flow_lp_method () =
+  let net = Filename.temp_file "tinflow_fig1a" ".csv" in
+  Out_channel.with_open_text net (fun oc ->
+      output_string oc
+        "src,dst,time,qty\n0,1,1,3\n0,1,7,5\n1,3,5,5\n0,2,2,6\n2,3,8,5\n2,5,9,4\n3,5,2,3\n\
+         3,5,10,1\n");
+  Fun.protect
+    ~finally:(fun () -> Sys.remove net)
+    (fun () ->
+      let value meth =
+        let out =
+          check_ok ("flow -m " ^ meth)
+            (run_capture (Printf.sprintf "flow %s -s 0 -t 5 -m %s" net meth))
+        in
+        Scanf.sscanf out "%s flow: %f" (fun _ v -> v)
+      in
+      let presim = value "presim" in
+      Alcotest.(check (float 1e-9)) "maximum flow" 5.0 presim;
+      Alcotest.(check (float 1e-9)) "LP = PreSim" presim (value "lp"))
+
 let test_paths () =
   let out = check_ok "paths" (run_capture (Printf.sprintf "paths %s -s 0 -t 1 --top 3" csv)) in
   Alcotest.(check bool) "route summary" true (contains out "temporal routes")
@@ -466,6 +489,7 @@ let () =
               Alcotest.test_case "flow (synthetic endpoints hint)" `Quick
                 test_flow_synthetic_endpoints_hint;
               Alcotest.test_case "flow (split, method)" `Quick test_flow_split_and_method;
+              Alcotest.test_case "flow -m lp = presim" `Quick test_flow_lp_method;
               Alcotest.test_case "paths" `Quick test_paths;
               Alcotest.test_case "provenance" `Quick test_provenance;
               Alcotest.test_case "profile" `Quick test_profile;

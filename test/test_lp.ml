@@ -205,46 +205,7 @@ let test_problem_bad_bounds () =
   Alcotest.check_raises "lb>ub" (Invalid_argument "Problem.add_var: lb > ub") (fun () ->
       ignore (Problem.add_var ~lb:2.0 ~ub:1.0 p))
 
-(* --- bounded-variable simplex --- *)
-
-module Bounded = Tin_lp.Bounded
-
-let test_bounded_basic () =
-  (* max 3x + 5y, x <= 4 native bound, 2y <= 12, 3x + 2y <= 18. *)
-  match
-    Bounded.solve ~c:[| 3.0; 5.0 |] ~upper:[| 4.0; infinity |]
-      ~rows:[ ([| 0.0; 2.0 |], 12.0); ([| 3.0; 2.0 |], 18.0) ]
-      ()
-  with
-  | Bounded.Optimal { objective; solution } ->
-      Alcotest.(check (float 1e-6)) "objective" 36.0 objective;
-      Alcotest.(check (float 1e-6)) "x" 2.0 solution.(0);
-      Alcotest.(check (float 1e-6)) "y" 6.0 solution.(1)
-  | _ -> Alcotest.fail "expected optimal"
-
-let test_bounded_pure_bound_flip () =
-  (* No rows at all: optimum is every positive-cost variable at its
-     upper bound (requires bound flips, no pivots possible). *)
-  match
-    Bounded.solve ~c:[| 2.0; -1.0 |] ~upper:[| 3.0; 5.0 |] ~rows:[] ()
-  with
-  | Bounded.Optimal { objective; solution } ->
-      Alcotest.(check (float 1e-6)) "objective" 6.0 objective;
-      Alcotest.(check (float 1e-6)) "x at ub" 3.0 solution.(0);
-      Alcotest.(check (float 1e-6)) "y at lb" 0.0 solution.(1)
-  | _ -> Alcotest.fail "expected optimal"
-
-let test_bounded_unbounded () =
-  match Bounded.solve ~c:[| 1.0 |] ~upper:[| infinity |] ~rows:[] () with
-  | Bounded.Unbounded -> ()
-  | _ -> Alcotest.fail "expected unbounded"
-
-let test_bounded_rejects_negative_rhs () =
-  Alcotest.check_raises "negative rhs"
-    (Invalid_argument "Bounded.solve: negative rhs (origin must be feasible)") (fun () ->
-      ignore (Bounded.solve ~c:[| 1.0 |] ~upper:[| 1.0 |] ~rows:[ ([| 1.0 |], -1.0) ] ()))
-
-let test_bounded_vs_dense_random () =
+let test_problem_dense_eq_sparse_random () =
   (* On random bounded all-Le problems the two solvers must agree.
      The random structure is recorded first, then two identical
      problems are built from it. *)
@@ -272,8 +233,8 @@ let test_bounded_vs_dense_random () =
     in
     let p1, vars1 = build () in
     let p2, vars2 = build () in
-    let s1 = Problem.solve ~solver:`Dense p1 in
-    let s2 = Problem.solve ~solver:`Bounded p2 in
+    let s1 = Problem.solve ~dense:true p1 in
+    let s2 = Problem.solve p2 in
     Alcotest.(check bool) "both optimal" true
       (s1.Problem.status = `Optimal && s2.Problem.status = `Optimal);
     Alcotest.(check (float 1e-5)) "objectives agree" s1.Problem.objective s2.Problem.objective;
@@ -284,24 +245,16 @@ let test_bounded_vs_dense_random () =
           List.fold_left2 (fun acc c v -> acc +. (c *. sol.Problem.value v)) 0.0 coefs vars
         in
         Alcotest.(check bool) "dense feasible" true (lhs vars1 s1 <= rhs +. 1e-6);
-        Alcotest.(check bool) "bounded feasible" true (lhs vars2 s2 <= rhs +. 1e-6))
+        Alcotest.(check bool) "sparse feasible" true (lhs vars2 s2 <= rhs +. 1e-6))
       rows_spec
   done
-
-let test_bounded_shape_rejected () =
-  let p = Problem.create () in
-  let x = Problem.add_var p in
-  Problem.add_ge p [ (1.0, x) ] 1.0;
-  Alcotest.check_raises "ge row rejected"
-    (Invalid_argument "Problem.solve: `Bounded requires <= rows, non-negative rhs, no free vars")
-    (fun () -> ignore (Problem.solve ~solver:`Bounded p))
 
 (* --- exact iteration budgets --------------------------------------- *)
 
 module Sparse = Tin_lp.Sparse
 module Solver_metrics = Tin_lp.Solver_metrics
 
-(* The budget contract is identical for all three solvers: a run that
+(* The budget contract is identical for both solvers: a run that
    needs exactly [p] work passes (pivots / bound flips / defensive
    refactorize-retries, as counted by [Solver_metrics.iterations])
    returns its result with [max_iters = p] and [Iteration_limit] with
@@ -359,19 +312,6 @@ let test_iteration_budget_exact () =
         | _ -> `Other),
         m.Solver_metrics.iterations )
     in
-    let bounded max_iters =
-      let m = Solver_metrics.create () in
-      let o =
-        match max_iters with
-        | None -> Bounded.solve ~metrics:m ~c ~upper ~rows ()
-        | Some k -> Bounded.solve ~max_iters:k ~metrics:m ~c ~upper ~rows ()
-      in
-      ( (match o with
-        | Bounded.Optimal { objective; _ } -> `Opt objective
-        | Bounded.Iteration_limit -> `Limit
-        | _ -> `Other),
-        m.Solver_metrics.iterations )
-    in
     let sparse max_iters =
       let m = Solver_metrics.create () in
       let o =
@@ -386,7 +326,6 @@ let test_iteration_budget_exact () =
         m.Solver_metrics.iterations )
     in
     check_budget_exact "dense" dense;
-    check_budget_exact "bounded" bounded;
     check_budget_exact "sparse" sparse
   done
 
@@ -394,8 +333,9 @@ let test_metrics_accumulate () =
   let m = Solver_metrics.create () in
   let solve () =
     ignore
-      (Bounded.solve ~metrics:m ~c:[| 3.0; 5.0 |] ~upper:[| 4.0; infinity |]
-         ~rows:[ ([| 0.0; 2.0 |], 12.0); ([| 3.0; 2.0 |], 18.0) ]
+      (Sparse.solve ~metrics:m ~c:[| 3.0; 5.0 |] ~upper:[| 4.0; infinity |]
+         ~rhs:[| 12.0; 18.0 |]
+         ~cols:[| [ (1, 3.0) ]; [ (0, 2.0); (1, 2.0) ] |]
          ())
   in
   solve ();
@@ -441,15 +381,7 @@ let () =
           Alcotest.test_case "frozen after solve" `Quick test_problem_frozen;
           Alcotest.test_case "bad bounds" `Quick test_problem_bad_bounds;
           Alcotest.test_case "repeated terms" `Quick test_problem_repeated_terms;
-        ] );
-      ( "bounded",
-        [
-          Alcotest.test_case "textbook" `Quick test_bounded_basic;
-          Alcotest.test_case "pure bound flips" `Quick test_bounded_pure_bound_flip;
-          Alcotest.test_case "unbounded" `Quick test_bounded_unbounded;
-          Alcotest.test_case "negative rhs rejected" `Quick test_bounded_rejects_negative_rhs;
-          Alcotest.test_case "random dense = bounded" `Quick test_bounded_vs_dense_random;
-          Alcotest.test_case "shape rejection" `Quick test_bounded_shape_rejected;
+          Alcotest.test_case "random dense = sparse" `Quick test_problem_dense_eq_sparse_random;
         ] );
       ( "budget",
         [

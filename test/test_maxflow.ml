@@ -1,10 +1,9 @@
 (* Classical (non-temporal) max-flow substrate: residual networks,
-   Edmonds-Karp, Dinic, the time-expanded reduction, and the
+   Dinic, push-relabel, the time-expanded reduction, and the
    send-time-compressed engine the pipelines finish with. *)
 
 open Tin_testlib
 module Net = Tin_maxflow.Net
-module EK = Tin_maxflow.Edmonds_karp
 module Dinic = Tin_maxflow.Dinic
 module PR = Tin_maxflow.Push_relabel
 module TE = Tin_maxflow.Time_expand
@@ -24,9 +23,6 @@ let clrs () =
   add 3 5 20.0;
   add 4 5 4.0;
   net
-
-let test_ek_clrs () =
-  Alcotest.(check (float 1e-9)) "EK" 23.0 (EK.max_flow (clrs ()) ~source:0 ~sink:5)
 
 let test_dinic_clrs () =
   Alcotest.(check (float 1e-9)) "Dinic" 23.0 (Dinic.max_flow (clrs ()) ~source:0 ~sink:5)
@@ -84,7 +80,7 @@ let test_reset () =
   ignore (Dinic.max_flow net ~source:0 ~sink:5);
   Net.reset net;
   Alcotest.(check (float 1e-9)) "solves again after reset" 23.0
-    (EK.max_flow net ~source:0 ~sink:5)
+    (PR.max_flow net ~source:0 ~sink:5)
 
 let test_add_arc_validation () =
   let net = Net.create ~n:2 in
@@ -97,10 +93,10 @@ let test_source_eq_sink () =
   let net = Net.create ~n:2 in
   Alcotest.check_raises "dinic" (Invalid_argument "Dinic.max_flow: source = sink") (fun () ->
       ignore (Dinic.max_flow net ~source:0 ~sink:0));
-  Alcotest.check_raises "ek" (Invalid_argument "Edmonds_karp.max_flow: source = sink") (fun () ->
-      ignore (EK.max_flow net ~source:0 ~sink:0))
+  Alcotest.check_raises "push-relabel" (Invalid_argument "Push_relabel.max_flow: source = sink")
+    (fun () -> ignore (PR.max_flow net ~source:0 ~sink:0))
 
-let test_random_ek_eq_dinic () =
+let test_random_pr_eq_dinic () =
   let rng = Tin_util.Prng.create ~seed:99 in
   for _ = 1 to 150 do
     let n = 2 + Tin_util.Prng.int rng 7 in
@@ -111,11 +107,9 @@ let test_random_ek_eq_dinic () =
       if s <> d then
         ignore (Net.add_arc net ~src:s ~dst:d ~cap:(float_of_int (Tin_util.Prng.int rng 10)))
     done;
-    let a = EK.max_flow (Net.copy net) ~source:0 ~sink:(n - 1) in
+    let a = PR.max_flow (Net.copy net) ~source:0 ~sink:(n - 1) in
     let b = Dinic.max_flow (Net.copy net) ~source:0 ~sink:(n - 1) in
-    let c = PR.max_flow (Net.copy net) ~source:0 ~sink:(n - 1) in
-    Alcotest.(check (float 1e-7)) "EK = Dinic" a b;
-    Alcotest.(check (float 1e-7)) "EK = push-relabel" a c
+    Alcotest.(check (float 1e-7)) "push-relabel = Dinic" a b
   done
 
 (* --- time expansion --- *)
@@ -123,9 +117,6 @@ let test_random_ek_eq_dinic () =
 let test_te_fig3 () =
   Alcotest.(check (float 1e-9)) "max flow (Dinic)" 5.0
     (TE.max_flow Paper_examples.fig3 ~source:Paper_examples.s ~sink:Paper_examples.t);
-  Alcotest.(check (float 1e-9)) "max flow (EK)" 5.0
-    (TE.max_flow ~algo:`Edmonds_karp Paper_examples.fig3 ~source:Paper_examples.s
-       ~sink:Paper_examples.t);
   Alcotest.(check (float 1e-9)) "max flow (push-relabel)" 5.0
     (TE.max_flow ~algo:`Push_relabel Paper_examples.fig3 ~source:Paper_examples.s
        ~sink:Paper_examples.t)
@@ -245,7 +236,6 @@ let () =
     [
       ( "solvers",
         [
-          Alcotest.test_case "EK on CLRS" `Quick test_ek_clrs;
           Alcotest.test_case "Dinic on CLRS" `Quick test_dinic_clrs;
           Alcotest.test_case "push-relabel on CLRS" `Quick test_pr_clrs;
           Alcotest.test_case "push-relabel edge cases" `Quick test_pr_trivial;
@@ -256,7 +246,7 @@ let () =
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "arc validation" `Quick test_add_arc_validation;
           Alcotest.test_case "source = sink" `Quick test_source_eq_sink;
-          Alcotest.test_case "EK = Dinic (random)" `Quick test_random_ek_eq_dinic;
+          Alcotest.test_case "push-relabel = Dinic (random)" `Quick test_random_pr_eq_dinic;
         ] );
       ( "time-expansion",
         [

@@ -3,7 +3,7 @@
 
    Three independent maximum-flow implementations exist in this
    repository — the LP formulation over our simplex, Dinic and
-   Edmonds-Karp on the time-expanded static network — plus two
+   push-relabel on the time-expanded static network — plus two
    flow-preserving graph reductions and the greedy lower bound.  The
    properties below tie them all together. *)
 
@@ -48,37 +48,29 @@ let prop_engine_eq_lp_and_te rng =
       && Fcmp.approx_eq ~eps v (TE.max_flow g ~source ~sink))
     [ Gen.random_digraph rng; Gen.random_dag rng ]
 
-let prop_dinic_eq_ek rng =
-  let g, source, sink = Gen.random_digraph rng in
-  Fcmp.approx_eq ~eps
-    (TE.max_flow ~algo:`Dinic g ~source ~sink)
-    (TE.max_flow ~algo:`Edmonds_karp g ~source ~sink)
-
-let prop_lp_dense_eq_bounded rng =
-  (* The two simplex variants must agree on flow LPs (the ablation's
-     correctness premise). *)
+let prop_lp_dense_eq_sparse rng =
+  (* The two simplex variants must agree on flow LPs (the solver
+     bench's correctness premise). *)
   let g, source, sink = Gen.random_dag rng in
-  let run solver =
-    match Lp_flow.solve ~solver g ~source ~sink with
+  let run dense =
+    match Lp_flow.solve ~dense g ~source ~sink with
     | Ok v -> v
     | Error _ -> QCheck.Test.fail_report "LP solver failure"
   in
-  Fcmp.approx_eq ~eps (run `Dense) (run `Bounded)
+  Fcmp.approx_eq ~eps (run true) (run false)
 
 let prop_all_simplex_variants_eq_dinic rng =
-  (* All three simplex variants (dense two-phase, bounded tableau,
-     sparse revised) and the time-expanded Dinic oracle must agree to
-     1e-6 on random DAG flow problems. *)
+  (* Both simplex variants (dense two-phase, sparse revised) and the
+     time-expanded Dinic oracle must agree to 1e-6 on random DAG flow
+     problems. *)
   let g, source, sink = Gen.random_dag rng in
-  let run solver =
-    match Lp_flow.solve ~solver g ~source ~sink with
+  let run dense =
+    match Lp_flow.solve ~dense g ~source ~sink with
     | Ok v -> v
     | Error _ -> QCheck.Test.fail_report "LP solver failure"
   in
   let oracle = TE.max_flow g ~source ~sink in
-  List.for_all
-    (fun solver -> Fcmp.approx_eq ~eps:1e-6 oracle (run solver))
-    [ `Dense; `Bounded; `Sparse ]
+  List.for_all (fun dense -> Fcmp.approx_eq ~eps:1e-6 oracle (run dense)) [ true; false ]
 
 let prop_push_relabel_eq_dinic rng =
   let g, source, sink = Gen.random_digraph rng in
@@ -255,13 +247,11 @@ let () =
           Check.seeded_property "LP = Dinic (DAGs)" prop_lp_eq_dinic;
           Check.seeded_property "LP = Dinic (cyclic)" prop_lp_eq_dinic_cyclic;
           Check.seeded_property "max_flow engine = LP = time-expanded" prop_engine_eq_lp_and_te;
-          Check.seeded_property "Dinic = Edmonds-Karp" prop_dinic_eq_ek;
           Check.seeded_property "push-relabel = Dinic" prop_push_relabel_eq_dinic;
           Check.seeded_property ~count:80 "push-relabel = Dinic (larger)"
             prop_push_relabel_eq_dinic_larger;
-          Check.seeded_property "LP dense simplex = bounded simplex" prop_lp_dense_eq_bounded;
-          Check.seeded_property "dense/bounded/sparse simplex = Dinic"
-            prop_all_simplex_variants_eq_dinic;
+          Check.seeded_property "LP dense simplex = sparse simplex" prop_lp_dense_eq_sparse;
+          Check.seeded_property "dense/sparse simplex = Dinic" prop_all_simplex_variants_eq_dinic;
           Check.seeded_property "Pre/PreSim = LP" prop_pre_and_presim_agree_with_lp;
         ] );
       ( "reductions",

@@ -116,6 +116,24 @@ let test_rooted_matches_greedy () =
        (fun (v, a) (w, b) -> v = w && Float.equal a b)
        buffers r.Prov.totals)
 
+let test_drain_after_rounding () =
+  (* Vertex 1's scalar buffer rounds 2e18 + 2 to 2e18 while its vector
+     keeps the 2-unit entry; the send at t=28 drains the scalar, so it
+     must drain the vector too, under every policy. *)
+  let g = add Graph.empty ~src:0 ~dst:1 ~time:11.0 ~qty:2e18 in
+  let g = add g ~src:0 ~dst:1 ~time:15.0 ~qty:2.0 in
+  let g = add g ~src:1 ~dst:2 ~time:28.0 ~qty:7e18 in
+  List.iter
+    (fun policy ->
+      let r = run ~policy ~source:0 ~absorb:2 g in
+      let name = Prov.policy_name policy in
+      let sum v = List.fold_left (fun acc (_, m) -> acc +. m) 0.0 (vector r v) in
+      Alcotest.(check (float 0.0)) (name ^ ": vertex 1 drained") 0.0 (List.assoc 1 r.Prov.totals);
+      Alcotest.(check int) (name ^ ": vertex 1 vector empty") 0 (List.length (vector r 1));
+      Alcotest.(check (float 0.0)) (name ^ ": sink vector = sink total")
+        (List.assoc 2 r.Prov.totals) (sum 2))
+    [ Prov.Lrb; Prov.Mrb; Prov.Proportional ]
+
 let test_trace_callback () =
   let batches = ref [] in
   let trace k batch = batches := (k, batch) :: !batches in
@@ -250,6 +268,7 @@ let () =
           Alcotest.test_case "budget spills to coarse groups" `Quick
             test_budget_spills_to_coarse_groups;
           Alcotest.test_case "source-rooted = greedy" `Quick test_rooted_matches_greedy;
+          Alcotest.test_case "drain after rounding" `Quick test_drain_after_rounding;
           Alcotest.test_case "trace callback" `Quick test_trace_callback;
           Alcotest.test_case "source = absorb rejected" `Quick test_source_eq_absorb_absent;
           Alcotest.test_case "deterministic across jobs" `Quick test_jobs_determinism;

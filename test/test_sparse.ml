@@ -1,11 +1,12 @@
 (* The sparse bounded-variable revised simplex: raw-solver unit tests
    (including the eta-file/refactorization machinery via a tiny
-   [refactor_every]), random agreement with the dense bounded tableau,
-   and the Problem-level [`Sparse] / [`Auto] routing. *)
+   [refactor_every]), random agreement with the dense two-phase simplex,
+   and the Problem-level choice between the two by problem shape. *)
 
 module Sparse = Tin_lp.Sparse
-module Bounded = Tin_lp.Bounded
+module Simplex = Tin_lp.Simplex
 module Problem = Tin_lp.Problem
+module Solver_metrics = Tin_lp.Solver_metrics
 module Lp_flow = Tin_core.Lp_flow
 module Prng = Tin_util.Prng
 module Fcmp = Tin_util.Fcmp
@@ -92,9 +93,10 @@ let test_bad_row_index_rejected () =
   with Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Random agreement with the dense bounded tableau.  [refactor_every]
-   is deliberately tiny so reinversion happens every couple of pivots
-   — the eta file and the refactorization must agree. *)
+(* Random agreement with the dense two-phase simplex, which takes the
+   upper bounds as explicit rows.  [refactor_every] is deliberately
+   tiny so reinversion happens every couple of pivots — the eta file
+   and the refactorization must agree. *)
 (* ------------------------------------------------------------------ *)
 
 let random_instance rng =
@@ -116,22 +118,32 @@ let random_instance rng =
   in
   (c, upper, dense_rows, rhs, cols)
 
-let test_random_vs_bounded () =
+let test_random_vs_dense () =
   let rng = Prng.create ~seed:2024 in
   for k = 1 to 300 do
     let c, upper, dense_rows, rhs, cols = random_instance rng in
-    let reference = Bounded.solve ~c ~upper ~rows:dense_rows () in
+    let n = Array.length c in
+    let bound_rows =
+      List.filter_map
+        (fun j ->
+          if upper.(j) < inf then
+            Some (Array.init n (fun i -> if i = j then 1.0 else 0.0), Simplex.Le, upper.(j))
+          else None)
+        (List.init n Fun.id)
+    in
+    let rows = List.map (fun (a, b) -> (a, Simplex.Le, b)) dense_rows @ bound_rows in
+    let reference = Simplex.solve ~c ~rows () in
     let got = Sparse.solve ~refactor_every:2 ~c ~upper ~rhs ~cols () in
     match (reference, got) with
-    | Bounded.Optimal { objective = a; _ }, Sparse.Optimal { objective = b; _ } ->
+    | Simplex.Optimal { objective = a; _ }, Sparse.Optimal { objective = b; _ } ->
         if not (Fcmp.approx_eq ~eps:1e-6 a b) then
-          Alcotest.failf "instance %d: bounded=%.9g sparse=%.9g" k a b
-    | Bounded.Unbounded, Sparse.Unbounded -> ()
+          Alcotest.failf "instance %d: dense=%.9g sparse=%.9g" k a b
+    | Simplex.Unbounded, Sparse.Unbounded -> ()
     | _ -> Alcotest.failf "instance %d: outcome mismatch" k
   done
 
 (* ------------------------------------------------------------------ *)
-(* Problem-level routing                                               *)
+(* Problem-level choice of solver                                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_problem_sparse_route () =
@@ -140,25 +152,40 @@ let test_problem_sparse_route () =
   let y = Problem.add_var ~obj:5.0 p in
   Problem.add_le p [ (2.0, y) ] 12.0;
   Problem.add_le p [ (3.0, x); (2.0, y) ] 18.0;
-  let s = Problem.solve ~solver:`Sparse p in
+  let s = Problem.solve p in
   Alcotest.(check (float 1e-6)) "objective" 36.0 s.Problem.objective;
   Alcotest.(check (float 1e-6)) "x" 2.0 (s.Problem.value x);
-  Alcotest.(check (float 1e-6)) "y" 6.0 (s.Problem.value y)
+  Alcotest.(check (float 1e-6)) "y" 6.0 (s.Problem.value y);
+  (* max x s.t. x <= 10, 0 <= x <= 2: the native bound is reached by
+     one bound flip; the dense simplex, with the bound as a row, pivots
+     instead. *)
+  let flips ?dense () =
+    let p = Problem.create () in
+    let x = Problem.add_var ~ub:2.0 ~obj:1.0 p in
+    Problem.add_le p [ (1.0, x) ] 10.0;
+    let metrics = Solver_metrics.create () in
+    let s = Problem.solve ?dense ~metrics p in
+    Alcotest.(check (float 1e-9)) "x at its bound" 2.0 s.Problem.objective;
+    metrics.Solver_metrics.bound_flips
+  in
+  Alcotest.(check int) "box LP goes to the sparse solver" 1 (flips ());
+  Alcotest.(check int) "dense reference" 0 (flips ~dense:true ())
 
-let test_problem_sparse_shape_rejected () =
+let test_problem_non_box_goes_dense () =
   let p = Problem.create () in
-  let x = Problem.add_var ~obj:1.0 p in
+  let x = Problem.add_var ~ub:5.0 ~obj:(-1.0) p in
   Problem.add_ge p [ (1.0, x) ] 2.0;
-  try
-    ignore (Problem.solve ~solver:`Sparse p);
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
+  let metrics = Solver_metrics.create () in
+  let s = Problem.solve ~metrics p in
+  Alcotest.(check (float 1e-9)) "objective" (-2.0) s.Problem.objective;
+  Alcotest.(check bool) "two-phase simplex ran phase 1" true
+    (metrics.Solver_metrics.phase1_iterations > 0)
 
-(* A chain flow LP big and sparse enough that [`Auto] routes to the
-   sparse solver (rows × cols >= 4096, density well under 0.25): 10
-   vertices, 30 distinct-time interactions per edge.  Cross-check the
-   auto-routed value against the forced dense simplex. *)
-let test_auto_routes_large_flow_lp () =
+(* A chain flow LP with enough rows and columns to exercise the
+   sparse solver's refactorization on a real flow LP (rows × cols >=
+   4096, density well under 0.25): 10 vertices, 30 distinct-time
+   interactions per edge.  Cross-check against the dense simplex. *)
+let test_large_flow_lp () =
   let g = ref Graph.empty in
   for v = 0 to 8 do
     let is =
@@ -174,15 +201,14 @@ let test_auto_routes_large_flow_lp () =
   let rows = Tin_lp.Problem.n_constraints lp.Lp_flow.problem in
   let cells = rows * lp.Lp_flow.n_vars in
   Alcotest.(check bool)
-    (Printf.sprintf "instance large enough for the sparse route (%d cells)" cells)
+    (Printf.sprintf "instance large enough (%d cells)" cells)
     true (cells >= 4096);
-  let run solver =
-    match Lp_flow.solve ~solver g ~source ~sink with
+  let run dense =
+    match Lp_flow.solve ~dense g ~source ~sink with
     | Ok v -> v
     | Error _ -> Alcotest.fail "solver failure"
   in
-  Alcotest.(check (float 1e-6)) "auto = dense" (run `Dense) (run `Auto);
-  Alcotest.(check (float 1e-6)) "sparse = dense" (run `Dense) (run `Sparse)
+  Alcotest.(check (float 1e-6)) "sparse = dense" (run true) (run false)
 
 let () =
   Alcotest.run "sparse"
@@ -200,11 +226,11 @@ let () =
           Alcotest.test_case "bad row index rejected" `Quick test_bad_row_index_rejected;
         ] );
       ( "agreement",
-        [ Alcotest.test_case "300 random instances vs bounded" `Quick test_random_vs_bounded ] );
+        [ Alcotest.test_case "random instances vs dense simplex" `Quick test_random_vs_dense ] );
       ( "problem",
         [
           Alcotest.test_case "`Sparse route" `Quick test_problem_sparse_route;
-          Alcotest.test_case "shape rejection" `Quick test_problem_sparse_shape_rejected;
-          Alcotest.test_case "`Auto routes large flow LP" `Quick test_auto_routes_large_flow_lp;
+          Alcotest.test_case "non-box LP goes dense" `Quick test_problem_non_box_goes_dense;
+          Alcotest.test_case "large flow LP sparse = dense" `Quick test_large_flow_lp;
         ] );
     ]
