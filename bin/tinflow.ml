@@ -313,8 +313,10 @@ let flow_cmd =
     setup_logs ();
     with_obs ~cmd:"flow" obs @@ fun () ->
     let g = load_graph file in
-    match
+    let missing v = Error (Printf.sprintf "vertex %d is not in the network" v) in
+    let endpoints =
       match split with
+      | Some v when not (Graph.mem_vertex g v) -> missing v
       | Some v ->
           let ep = Endpoints.split g ~vertex:v in
           Ok (ep.Endpoints.graph, ep.Endpoints.source, ep.Endpoints.sink)
@@ -332,7 +334,20 @@ let flow_cmd =
                   (Printf.sprintf
                      "%s\nhint: pass explicit --source/--sink vertices, or --split VERTEX to \
                       measure a round trip" msg)))
-    with
+    in
+    (* Every method needs two distinct terminals in the graph it runs
+       on. *)
+    let distinct_terminals (g, s, t) =
+      if not (Graph.mem_vertex g s) then missing s
+      else if not (Graph.mem_vertex g t) then missing t
+      else if s = t then
+        Error
+          (Printf.sprintf
+             "source and sink are both vertex %d\nhint: --split %d measures the flow from the \
+              vertex back to itself" s s)
+      else Ok (g, s, t)
+    in
+    match Result.bind endpoints distinct_terminals with
     | Error msg ->
         prerr_endline ("tinflow: " ^ msg);
         1

@@ -54,8 +54,9 @@ val to_graph : t -> Graph.t
 
 val edges_to_graph : t -> edge_id list -> Graph.t
 (** Persistent subgraph induced by a set of edges (raw labels);
-    duplicate ids are harmless.  This is how extraction and pattern
-    instances hand a small subgraph to the flow pipeline. *)
+    duplicate ids are harmless.  This is how extraction hands a small
+    subgraph to the flow pipeline (pattern instances skip it: see
+    [Tin_maxflow.max_flow_edges]). *)
 
 val equal : t -> t -> bool
 (** Structural equality: same labels and identical interaction columns

@@ -6,7 +6,9 @@
     Section 4.2.1).  {!Time_expand} builds the textbook expansion, two
     nodes per (vertex, event time), and stays as the reference oracle;
     {!max_flow} builds a smaller network with exactly the LP's rows and
-    is the engine the Pre/PreSim pipelines finish with. *)
+    is the engine the Pre/PreSim pipelines finish with;
+    {!max_flow_edges} builds the same network straight from a
+    {!Compact.t}'s edge slices and solves every pattern instance. *)
 
 module Net = Net
 module Dinic = Dinic
@@ -37,3 +39,21 @@ val max_flow : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> float
     {!Tin_util.Fcmp} policy.  A source or sink absent from the graph
     gives 0.
     @raise Invalid_argument if [source = sink]. *)
+
+val max_flow_edges :
+  Compact.t -> Compact.edge_id list -> source:Compact.vertex -> sink:Compact.vertex -> float
+(** [max_flow_edges net eids ~source ~sink] is {!max_flow} on the
+    subgraph of [net] formed by the edges [eids] (duplicates are
+    harmless), with compact vertex ids for the terminals.  The
+    interactions are read from [net]'s columns; no {!Graph.t} is built,
+    and both entries share one network builder.
+
+    When [source = sink] the vertex is split, as
+    [Tin_core.Endpoints.split] does: its out-edges leave the master
+    source and its in-edges enter the master sink, so the result is the
+    flow from the vertex back to itself (a cyclic pattern instance).
+    Otherwise sends of the sink and receipts of the source get no arc,
+    as in {!max_flow}.  A terminal that is no endpoint of the edges
+    gives 0.  Self-loops are tolerated: in split mode a self-loop of
+    the split vertex goes straight from the master source to the master
+    sink. *)

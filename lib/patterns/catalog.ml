@@ -1,6 +1,3 @@
-module Endpoints = Tin_core.Endpoints
-module Pipeline = Tin_core.Pipeline
-module Simplify = Tin_core.Simplify
 module Batch = Tin_core.Batch
 module Obs = Tin_obs.Obs
 
@@ -202,12 +199,6 @@ let search ?jobs sh ~name ~n body =
    rows). *)
 let chain_flow net eids = Interaction.total_qty (Tables.chain_arrivals net eids)
 
-(* Maximum flow of a cyclic instance anchored at [anchor]. *)
-let cyclic_instance_flow net eids ~anchor =
-  let g = Compact.edges_to_graph net eids in
-  let ep = Endpoints.split g ~vertex:(Compact.label net anchor) in
-  Pipeline.max_flow ep.Endpoints.graph ~source:ep.Endpoints.source ~sink:ep.Endpoints.sink
-
 (* ------------------------------------------------------------------ *)
 (* Graph browsing                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -383,8 +374,9 @@ let pb ?jobs ?(limit = max_int) ?time_budget_ms net tables pattern =
     | Rigid P3 -> fun local a -> Tables.iter_start tables.l3 a (fun r -> add sh local r.Tables.flow)
     | Rigid P4 ->
         (* 3-hop cycle + chord b→a: the precomputed flow is unusable
-           (the cycle is not isolated in the instance); the instance
-           is rebuilt and solved by the Section-4 pipeline. *)
+           (the cycle is not isolated in the instance), so the
+           instance's edges go straight to the Dinic engine with the
+           anchor split. *)
         fun local a ->
           let poll =
             let stop = stopper sh in
@@ -403,7 +395,7 @@ let pb ?jobs ?(limit = max_int) ?time_budget_ms net tables pattern =
                       e_ba;
                     ]
                   in
-                  add sh local (cyclic_instance_flow net eids ~anchor:a)
+                  add sh local (Pattern.edges_flow net eids ~source:a ~sink:a)
               | None -> ())
     | Rigid P5 ->
         (* Merge-join of L2 and L3 on the anchor vertex; flows add up
@@ -440,7 +432,7 @@ let pb ?jobs ?(limit = max_int) ?time_budget_ms net tables pattern =
                       e_ba;
                     ]
                   in
-                  add sh local (cyclic_instance_flow net eids ~anchor:a)
+                  add sh local (Pattern.edges_flow net eids ~source:a ~sink:a)
               | _ -> ())
     | Relaxed RP1 ->
         let c2 = require_chains tables in

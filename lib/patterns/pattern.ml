@@ -194,18 +194,16 @@ let instance_edges net t mu =
       | None -> invalid_arg "Pattern.instance_edges: mapping is not an instance")
     t.edges
 
+(* Every pattern-instance solve goes through here; a traced run (or
+   the armed flight recorder) sees each one as a span. *)
+let edges_flow net eids ~source ~sink =
+  if Tin_obs.Obs.recording () then
+    Tin_obs.Obs.Span.with_ "pattern.instance_flow" (fun () ->
+        Tin_maxflow.max_flow_edges net eids ~source ~sink)
+  else Tin_maxflow.max_flow_edges net eids ~source ~sink
+
 let instance_flow net t mu =
-  let eids = instance_edges net t mu in
-  let g = Compact.edges_to_graph net eids in
-  if is_cyclic_shape t then begin
-    let ep = Tin_core.Endpoints.split g ~vertex:(Compact.label net mu.(0)) in
-    Tin_core.Pipeline.max_flow ep.Tin_core.Endpoints.graph ~source:ep.Tin_core.Endpoints.source
-      ~sink:ep.Tin_core.Endpoints.sink
-  end
-  else
-    Tin_core.Pipeline.max_flow g
-      ~source:(Compact.label net mu.(0))
-      ~sink:(Compact.label net mu.(sink t))
+  edges_flow net (instance_edges net t mu) ~source:mu.(0) ~sink:mu.(sink t)
 
 (* --- textual pattern descriptions --- *)
 

@@ -85,6 +85,16 @@ val to_string : t -> string
 (** Round-trips through {!of_string} (canonical vertex names). *)
 
 val instance_flow : Compact.t -> t -> mapping -> float
-(** Maximum flow of the instance: the mapped subgraph is built, the
-    shared source/sink vertex is split for cyclic shapes, and the
-    [Pre_sim] pipeline of Section 4 computes the flow. *)
+(** Maximum flow of the instance: {!edges_flow} on its edges, from the
+    source's vertex to the sink's.  For cyclic shapes the two are the
+    same graph vertex, which is split. *)
+
+val edges_flow :
+  Compact.t -> Compact.edge_id list -> source:Compact.vertex -> sink:Compact.vertex -> float
+(** The solve behind every pattern-instance flow:
+    {!Tin_maxflow.max_flow_edges}, Dinic on the send-time-compressed
+    time-expanded network built straight from the edges' slices, with
+    [source = sink] splitting that vertex.  No {!Graph.t} is built and
+    Algorithms 1 and 2 do not run: at instance size they cost more than
+    they save.  While {!Tin_obs.Obs.recording}, each call is a
+    [pattern.instance_flow] span. *)

@@ -142,7 +142,7 @@ let oracle_names =
   [ "greedy" ]
   @ List.map fst lp_solvers
   @ List.map fst te_algos
-  @ [ "te:events"; "pipeline:pre"; "pipeline:presim" ]
+  @ [ "te:events"; "te:compact"; "pipeline:pre"; "pipeline:presim" ]
   @ [ "decomp"; "prov:lrb"; "prov:mrb"; "prov:prop" ]
 
 let check ?(policy = Fcmp.default_policy) ?(extra = []) g ~source ~sink =
@@ -254,6 +254,21 @@ let check ?(policy = Fcmp.default_policy) ?(extra = []) g ~source ~sink =
   (match guarded "te:events" (fun () -> Tin_maxflow.max_flow g ~source ~sink) with
   | Some v -> record "te:events" v
   | None -> ());
+  (* The same engine fed from the compiled substrate's edge slices, the
+     pattern-instance path, over every edge of the case. *)
+  let net = Compact.of_graph g in
+  (match
+     guarded "te:compact" (fun () ->
+         (* Split mode is a pattern-instance feature; here equal
+            terminals are an error, as in every other oracle. *)
+         if source = sink then invalid_arg "te:compact: source = sink";
+         let id v = Option.value ~default:(-1) (Compact.vertex_of_label net v) in
+         Tin_maxflow.max_flow_edges net
+           (List.init (Compact.n_edges net) Fun.id)
+           ~source:(id source) ~sink:(id sink))
+   with
+  | Some v -> record "te:compact" v
+  | None -> ());
   (* The accelerated pipeline with the simplification stage toggled on
      and off, plus any caller-injected oracles. *)
   List.iter
@@ -327,7 +342,6 @@ let check ?(policy = Fcmp.default_policy) ?(extra = []) g ~source ~sink =
   | None -> ()
   | Some greedy_v ->
       let inters = Graph.interactions_sorted g in
-      let net = Compact.of_graph g in
       let ref_totals = ref None in
       List.iter
         (fun policy ->

@@ -6,9 +6,11 @@
     reference), both static max-flow algorithms (Dinic, push–relabel)
     over the time-expanded reduction, the production Dinic engine
     ({!Tin_maxflow.max_flow}, oracle [te:events]) on the raw,
-    unreduced instance, and the accelerated pipeline with its
-    preprocessing stages toggled on and off — and tests the full
-    invariant lattice relating them:
+    unreduced instance, the same engine fed from the instance's
+    {!Compact.t} edge slices ({!Tin_maxflow.max_flow_edges}, oracle
+    [te:compact], the pattern-instance path), and the accelerated
+    pipeline with its preprocessing stages toggled on and off — and
+    tests the full invariant lattice relating them:
 
     - all maximum-flow oracles agree pairwise within the shared
       tolerance policy ({!Tin_util.Fcmp.policy}[.flow_eps]);
@@ -70,7 +72,7 @@ type outcome = {
 val pp_discrepancy : Format.formatter -> discrepancy -> unit
 
 val oracle_names : string list
-(** Names of the 12 built-in oracles, for reporting. *)
+(** Names of the 13 built-in oracles, for reporting. *)
 
 val check :
   ?policy:Tin_util.Fcmp.policy ->

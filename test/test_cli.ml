@@ -55,6 +55,58 @@ let test_flow_split_and_method () =
   let out = check_ok "flow split" (run_capture (Printf.sprintf "flow %s --split 0 -m timeexp" csv)) in
   Alcotest.(check bool) "method output" true (contains out "TimeExp flow")
 
+(* Unknown or equal terminals are user errors under every method and in
+   the split, source and sink forms: exit 1 with a message naming the
+   vertex (a valid query exits 0), never 125, and no flight-recorder
+   dump in the working directory. *)
+let test_flow_bad_endpoints () =
+  let dir = Filename.temp_file "tinflow_flow_cwd" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let exe = if Filename.is_relative exe then Filename.concat (Sys.getcwd ()) exe else exe in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let forms =
+        [
+          ("--split 9999", Some "vertex 9999");
+          ("--source 1 --sink 1", Some "vertex 1");
+          ("--source 9999 --sink 1", Some "vertex 9999");
+          ("--source 1 --sink 9999", Some "vertex 9999");
+          (* Every vertex of this network is on a cycle, so the
+             synthetic other terminal is refused first. *)
+          ("--source 9999", Some "tinflow:");
+          ("--sink 9999", Some "tinflow:");
+          ("--split 0", None);
+          ("--source 0 --sink 1", None);
+        ]
+      in
+      List.iter
+        (fun m ->
+          List.iter
+            (fun (form, error) ->
+              let args = Printf.sprintf "flow %s %s %s" (Filename.quote csv) form m in
+              let out = Filename.concat dir "out.txt" in
+              let code =
+                Sys.command
+                  (Printf.sprintf "cd %s && %s %s > %s 2>&1" (Filename.quote dir)
+                     (Filename.quote exe) args (Filename.quote out))
+              in
+              let content = In_channel.with_open_text out In_channel.input_all in
+              Sys.remove out;
+              match error with
+              | Some needle ->
+                  if code <> 1 || not (contains content needle) then
+                    Alcotest.failf "%s: exit %d, expected 1 naming %s:\n%s" args code needle
+                      content
+              | None ->
+                  if code <> 0 then Alcotest.failf "%s: exit %d:\n%s" args code content)
+            forms)
+        [ ""; "-m greedy"; "-m lp"; "-m pre"; "-m presim"; "-m timeexp" ];
+      Alcotest.(check (list string)) "no flight dump" [] (Array.to_list (Sys.readdir dir)))
+
 (* Figure 1(a) of the paper (s = 0, x = 1, y = 2, z = 3, t = 5):
    greedy flow 2, maximum flow 5.  The LP method and the default
    engine must print the same maximum flow. *)
@@ -490,6 +542,7 @@ let () =
                 test_flow_synthetic_endpoints_hint;
               Alcotest.test_case "flow (split, method)" `Quick test_flow_split_and_method;
               Alcotest.test_case "flow -m lp = presim" `Quick test_flow_lp_method;
+              Alcotest.test_case "flow bad endpoints" `Quick test_flow_bad_endpoints;
               Alcotest.test_case "paths" `Quick test_paths;
               Alcotest.test_case "provenance" `Quick test_provenance;
               Alcotest.test_case "profile" `Quick test_profile;

@@ -401,31 +401,72 @@ let test_p5_flower_flow_adds () =
   Alcotest.(check int) "pb count" 1 pb.Catalog.instances;
   Check.check_flow "pb flow" 7.0 pb.Catalog.total_flow
 
+(* The Figure-3 shape as a cyclic P6 instance: cycle a->y->z->a plus
+   chords a->z and y->a (a = 0, y = 1, z = 2).  After splitting a it is
+   exactly Figure 3, so the maximum flow is 5 while greedy gives 1. *)
+let fig3_p6_net =
+  Gen.compact_of_list
+    [
+      (0, 1, [ i_ 1.0 5.0 ]);
+      (* a->y *)
+      (1, 2, [ i_ 3.0 5.0 ]);
+      (* y->z *)
+      (2, 0, [ i_ 5.0 1.0 ]);
+      (* z->a *)
+      (0, 2, [ i_ 2.0 3.0 ]);
+      (* a->z chord *)
+      (1, 0, [ i_ 4.0 4.0 ]);
+      (* y->a chord *)
+    ]
+
 let test_p6_needs_lp () =
-  (* Build the Figure-3 shape as a cyclic pattern instance: cycle
-     a->y->z->a plus chords a->z and y->a.  After splitting a it is
-     exactly Figure 3, so the maximum flow is 5 while greedy gives 1. *)
-  let net =
-    Gen.compact_of_list
-      [
-        (0, 1, [ i_ 1.0 5.0 ]);
-        (* a->y *)
-        (1, 2, [ i_ 3.0 5.0 ]);
-        (* y->z *)
-        (2, 0, [ i_ 5.0 1.0 ]);
-        (* z->a *)
-        (0, 2, [ i_ 2.0 3.0 ]);
-        (* a->z chord *)
-        (1, 0, [ i_ 4.0 4.0 ]);
-        (* y->a chord *)
-      ]
-  in
+  let net = fig3_p6_net in
   let gb = Catalog.gb net (Catalog.Rigid Catalog.P6) in
   Alcotest.(check int) "one instance" 1 gb.Catalog.instances;
   Check.check_flow "maximum (not greedy) flow" 5.0 gb.Catalog.total_flow;
   let tables = Catalog.precompute net in
   let pb = Catalog.pb net tables (Catalog.Rigid Catalog.P6) in
   Check.check_flow "pb agrees" 5.0 pb.Catalog.total_flow
+
+(* Minor words per instance solve on the Figure-3 P6 instance, through
+   the edge-slice entry.  The count is exact for a build: 425 words in
+   the default (dev) profile, 327 in release.  The bound leaves room for
+   compiler and profile drift yet sits far below the ~3 500 words an
+   average Prosper P4 instance cost through [edges_to_graph] and the
+   pipeline, so a regression in the instance hot path shows up here as
+   a count, not as a timing. *)
+let test_instance_alloc () =
+  let net = fig3_p6_net in
+  let a = Option.get (Compact.vertex_of_label net 0) in
+  let y = Option.get (Compact.vertex_of_label net 1) in
+  let z = Option.get (Compact.vertex_of_label net 2) in
+  let eids = Pattern.instance_edges net (Catalog.rigid_pattern Catalog.P6) [| a; y; z; a |] in
+  let solve () = Tin_maxflow.max_flow_edges net eids ~source:a ~sink:a in
+  Check.check_flow "flow" 5.0 (solve ());
+  let n = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (solve ()))
+  done;
+  let per = (Gc.minor_words () -. before) /. float_of_int n in
+  if per > 800.0 then Alcotest.failf "%.1f minor words per instance solve, bound 800" per
+
+(* PB = GB on the two patterns that solve each instance, on a small
+   Prosper-shaped network, untruncated. *)
+let test_p4_p6_pb_eq_gb_prosper () =
+  let module Ds = Tin_datasets in
+  let net = Ds.Generator.generate ~seed:5 (Ds.Spec.scaled ~factor:0.05 Ds.Spec.prosper) in
+  let tables = Catalog.precompute net in
+  List.iter
+    (fun r ->
+      let p = Catalog.Rigid r in
+      let name = Catalog.pattern_name p in
+      let gb = Catalog.gb net p and pb = Catalog.pb net tables p in
+      Alcotest.(check bool) (name ^ " untruncated") false (gb.Catalog.truncated || pb.Catalog.truncated);
+      Alcotest.(check bool) (name ^ " has instances") true (gb.Catalog.instances > 0);
+      Alcotest.(check int) (name ^ " instances") gb.Catalog.instances pb.Catalog.instances;
+      Check.check_flow (name ^ " total flow") gb.Catalog.total_flow pb.Catalog.total_flow)
+    [ Catalog.P4; Catalog.P6 ]
 
 let () =
   Alcotest.run "patterns"
@@ -469,5 +510,7 @@ let () =
           Alcotest.test_case "RP2 semantics" `Quick test_relaxed_rp2_semantics;
           Alcotest.test_case "P5 flower adds" `Quick test_p5_flower_flow_adds;
           Alcotest.test_case "P6 needs LP" `Quick test_p6_needs_lp;
+          Alcotest.test_case "instance solve allocation" `Quick test_instance_alloc;
+          Alcotest.test_case "P4/P6 PB = GB on Prosper" `Quick test_p4_p6_pb_eq_gb_prosper;
         ] );
     ]

@@ -48,6 +48,39 @@ let prop_engine_eq_lp_and_te rng =
       && Fcmp.approx_eq ~eps v (TE.max_flow g ~source ~sink))
     [ Gen.random_digraph rng; Gen.random_dag rng ]
 
+(* The pattern-instance entry against the path it replaced: on
+   [Compact.of_graph g] for a verifier case (every [Gen] family, with
+   mutations), over all edges or a random subset,
+   [Tin_maxflow.max_flow_edges] equals [Pipeline.max_flow] on the
+   [Compact.edges_to_graph] subgraph — split at a random vertex as
+   [Endpoints.split] does, and between the case's distinct terminals
+   (0 when the subset misses one). *)
+let prop_edges_entry_eq_pipeline rng =
+  let case = Tin_verify.Gen.case rng in
+  let net = Compact.of_graph case.Tin_verify.Gen.graph in
+  let all = List.init (Compact.n_edges net) Fun.id in
+  let eids = if Tin_util.Prng.bool rng then all else List.filter (fun _ -> Tin_util.Prng.bool rng) all in
+  let sub = Compact.edges_to_graph net eids in
+  let id l = Option.get (Compact.vertex_of_label net l) in
+  let entry ~source ~sink = Tin_maxflow.max_flow_edges net eids ~source:(id source) ~sink:(id sink) in
+  let split =
+    match Graph.vertices sub with
+    | [] -> true
+    | vs ->
+        let v = List.nth vs (Tin_util.Prng.int rng (List.length vs)) in
+        let ep = Tin_core.Endpoints.split sub ~vertex:v in
+        Fcmp.approx_eq (entry ~source:v ~sink:v)
+          (Pipeline.max_flow ep.Tin_core.Endpoints.graph ~source:ep.Tin_core.Endpoints.source
+             ~sink:ep.Tin_core.Endpoints.sink)
+  in
+  let source = case.Tin_verify.Gen.source and sink = case.Tin_verify.Gen.sink in
+  let distinct =
+    if Graph.mem_vertex sub source && Graph.mem_vertex sub sink then
+      Fcmp.approx_eq (entry ~source ~sink) (Pipeline.max_flow sub ~source ~sink)
+    else entry ~source ~sink = 0.0
+  in
+  split && distinct
+
 let prop_lp_dense_eq_sparse rng =
   (* The two simplex variants must agree on flow LPs (the solver
      bench's correctness premise). *)
@@ -247,6 +280,8 @@ let () =
           Check.seeded_property "LP = Dinic (DAGs)" prop_lp_eq_dinic;
           Check.seeded_property "LP = Dinic (cyclic)" prop_lp_eq_dinic_cyclic;
           Check.seeded_property "max_flow engine = LP = time-expanded" prop_engine_eq_lp_and_te;
+          Check.seeded_property ~count:300 "edge-slice entry = pipeline (split, distinct)"
+            prop_edges_entry_eq_pipeline;
           Check.seeded_property "push-relabel = Dinic" prop_push_relabel_eq_dinic;
           Check.seeded_property ~count:80 "push-relabel = Dinic (larger)"
             prop_push_relabel_eq_dinic_larger;
