@@ -1,6 +1,4 @@
-(* Ablation benchmarks for the design choices DESIGN.md calls out
-   (explicit LP bound rows vs native bounds is the solver bench's
-   per-class dense/sparse table):
+(* Ablation benchmarks for the design choices DESIGN.md calls out:
 
    B. Classical max-flow solver on the time-expanded network: Dinic vs
       push-relabel (the PTIME route of Section 4.2.1).

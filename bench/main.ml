@@ -1,64 +1,28 @@
 (* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Section 6) on the synthetic datasets.
+   paper's evaluation (Section 6) on the synthetic datasets.  The
+   end-to-end benchmark of record, with repeated runs and per-layer
+   splits, is perfbench/ (see BENCHMARK.json).
 
    Usage:
-     main.exe [--quick] [--json PATH] [--pattern-json PATH] [target ...]
+     main.exe [--quick] [target ...]
    Targets: table4 table5 table6 table7 table8 figure11 table9 table10
-   table11 flows patterns micro solvers all (default: all).
-   --json sets the output path of the solver benchmark's
-   machine-readable results (default: BENCH_flow.json);
-   --pattern-json does the same for the pattern-search jobs sweep
-   (default: BENCH_pattern.json, written by the patterns target);
-   --load-json for the CSV-vs-snapshot load benchmark (default:
-   BENCH_load.json, written by the load target); --ingest-json for the
-   streaming-daemon throughput benchmark (default: BENCH_ingest.json,
-   written by the ingest target); --provenance-json for the
-   provenance-scan benchmark (default: BENCH_provenance.json, written
-   by the provenance target). *)
+   table11 flows patterns ablation obs all (default: all).  [flows] is
+   Tables 4-8 plus Figure 11, [patterns] is Tables 9-11; [obs] (the
+   observability disabled-path guard) also runs under [all]. *)
 
 let known_targets =
   [
     "table4"; "table5"; "table6"; "table7"; "table8"; "figure11"; "table9"; "table10"; "table11";
-    "flows"; "patterns"; "micro"; "ablation"; "sweep"; "solvers"; "obs"; "load"; "ingest";
-    "provenance"; "all";
+    "flows"; "patterns"; "ablation"; "obs"; "all";
   ]
 
 let usage () =
-  Printf.printf "usage: main.exe [--quick] [--json PATH] [%s]*\n"
-    (String.concat "|" known_targets);
+  Printf.printf "usage: main.exe [--quick] [%s]*\n" (String.concat "|" known_targets);
   exit 2
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let quick = List.mem "--quick" args in
-  let json = ref "BENCH_flow.json" in
-  let pattern_json = ref "BENCH_pattern.json" in
-  let load_json = ref "BENCH_load.json" in
-  let ingest_json = ref "BENCH_ingest.json" in
-  let provenance_json = ref "BENCH_provenance.json" in
-  let rec strip = function
-    | "--json" :: path :: rest ->
-        json := path;
-        strip rest
-    | "--pattern-json" :: path :: rest ->
-        pattern_json := path;
-        strip rest
-    | "--load-json" :: path :: rest ->
-        load_json := path;
-        strip rest
-    | "--ingest-json" :: path :: rest ->
-        ingest_json := path;
-        strip rest
-    | "--provenance-json" :: path :: rest ->
-        provenance_json := path;
-        strip rest
-    | [ "--json" ] | [ "--pattern-json" ] | [ "--load-json" ] | [ "--ingest-json" ]
-    | [ "--provenance-json" ] ->
-        usage ()
-    | a :: rest -> a :: strip rest
-    | [] -> []
-  in
-  let args = strip args in
   let targets = List.filter (fun a -> a <> "--quick") args in
   let targets = if targets = [] then [ "all" ] else targets in
   List.iter
@@ -120,35 +84,9 @@ let () =
         Pattern_bench.run_dataset scale
           (List.find (fun d -> d.Workload.pattern_table_id = table_id) datasets))
     [ ("table9", 9); ("table10", 10); ("table11", 11) ];
-  if wants "patterns" then begin
-    Pattern_bench.run_sweep ~json:!pattern_json
-      ~scale_name:(if quick then "quick" else "full")
-      scale datasets;
-    print_newline ()
-  end;
   if wants "ablation" then Ablation.run datasets;
-  if wants "sweep" then Sweep.run ();
-  if wants "solvers" then begin
-    Solver_bench.run ~json:!json ~scale_name:(if quick then "quick" else "full") datasets;
-    print_newline ()
-  end;
   if wants "obs" then begin
     Obs_bench.run datasets;
     print_newline ()
   end;
-  if wants "load" then begin
-    Load_bench.run ~json:!load_json ~scale_name:(if quick then "quick" else "full") datasets;
-    print_newline ()
-  end;
-  if wants "ingest" then begin
-    Ingest_bench.run ~json:!ingest_json ~scale_name:(if quick then "quick" else "full") ~quick ();
-    print_newline ()
-  end;
-  if wants "provenance" then begin
-    Provenance_bench.run ~json:!provenance_json
-      ~scale_name:(if quick then "quick" else "full")
-      ~quick ();
-    print_newline ()
-  end;
-  if wants "micro" || List.mem "all" targets then Micro.run datasets;
   print_endline "Done."

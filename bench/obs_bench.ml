@@ -144,7 +144,7 @@ let check_report problems =
             (Printf.sprintf "mean domain utilization %.2f below 0.20 floor" mean_util)
       end;
       (* The JSON report must parse and carry its schema marker — what
-         CI diffs with bench-check. *)
+         CI and perfbench's self-test read. *)
       let rj = Json.parse_exn (Report.to_json r) in
       (match Json.member "schema" rj with
       | Some (Json.Str "tinflow.obs.report/v1") -> ()

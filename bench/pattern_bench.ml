@@ -6,7 +6,6 @@
    instance rate — the paper does the same ("15 days (est.)" for P5 on
    Bitcoin, early termination for the starred P4/P6 rows). *)
 
-module Batch = Tin_core.Batch
 module Catalog = Tin_patterns.Catalog
 module Tables = Tin_patterns.Tables
 module Table = Tin_util.Table
@@ -82,233 +81,3 @@ let run_dataset scale d =
     | Some c2 -> Printf.sprintf ", chains: %d rows" (Tables.n_rows c2)
     | None -> "")
     scale.Workload.lp_pattern_limit
-
-let run scale datasets = List.iter (run_dataset scale) datasets
-
-(* ------------------------------------------------------------------ *)
-(* Parallel jobs sweep (BENCH_pattern.json)                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Same job ladder as the solver benchmark: always include jobs = 2 so
-   the multi-domain path runs even on one core, then only counts the
-   hardware supports. *)
-let job_counts () =
-  let rec_jobs = Batch.recommended_jobs () in
-  List.sort_uniq compare (1 :: 2 :: rec_jobs :: List.filter (fun j -> j <= rec_jobs) [ 4; 8 ])
-
-type run_point = {
-  jobs : int;
-  gb_ms : float;
-  gb_instances : int;
-  gb_truncated : bool;
-  pb_ms : float;
-  pb_instances : int;
-}
-
-type pattern_sweep = { pattern : string; points : run_point list }
-
-type dataset_sweep = {
-  ds_name : string;
-  precompute_ms : (int * float) list; (* jobs -> wall ms *)
-  l2_rows : int;
-  l3_rows : int;
-  chain_rows : int option;
-  sweeps : pattern_sweep list;
-  obs : (string * int) list;
-}
-
-(* A separate instrumented pass (timed runs stay uninstrumented): one
-   GB and one PB search per pattern with counters on, so
-   BENCH_pattern.json records tickets consumed, anchors sharded,
-   deadline hits and the per-instance LP work for regression
-   tracking. *)
-let obs_snapshot scale d tables budget_ms =
-  let module Obs = Tin_obs.Obs in
-  Obs.reset ();
-  Obs.enable ();
-  List.iter
-    (fun pattern ->
-      let limit = pattern_limit scale pattern in
-      ignore (Catalog.gb ~limit ~time_budget_ms:budget_ms d.Workload.net pattern);
-      ignore (Catalog.pb ~limit d.Workload.net tables pattern))
-    (patterns_for d);
-  Obs.disable ();
-  let counters = List.filter (fun (_, v) -> v > 0) (Obs.counters ()) in
-  Obs.reset ();
-  counters
-
-(* The sweep uses a tighter budget than the headline tables: each
-   (pattern, jobs) cell repeats the whole search, and the point is the
-   throughput ratio, not completion. *)
-let sweep_dataset scale d =
-  let with_chains = d.Workload.pattern_table_id = 11 in
-  let budget_ms = scale.Workload.gb_budget_ms /. 2.0 in
-  let jobs_list = job_counts () in
-  let tables = ref None in
-  let precompute_ms =
-    List.map
-      (fun jobs ->
-        let t, ms =
-          Timer.time_ms (fun () -> Catalog.precompute ~jobs ~with_chains d.Workload.net)
-        in
-        tables := Some t;
-        (jobs, ms))
-      jobs_list
-  in
-  let tables = Option.get !tables in
-  let sweeps =
-    List.map
-      (fun pattern ->
-        let limit = pattern_limit scale pattern in
-        let points =
-          List.map
-            (fun jobs ->
-              let gb, gb_ms =
-                Timer.time_ms (fun () ->
-                    Catalog.gb ~jobs ~limit ~time_budget_ms:budget_ms d.Workload.net pattern)
-              in
-              let pb, pb_ms =
-                Timer.time_ms (fun () -> Catalog.pb ~jobs ~limit d.Workload.net tables pattern)
-              in
-              {
-                jobs;
-                gb_ms;
-                gb_instances = gb.Catalog.instances;
-                gb_truncated = gb.Catalog.truncated;
-                pb_ms;
-                pb_instances = pb.Catalog.instances;
-              })
-            jobs_list
-        in
-        { pattern = Catalog.pattern_name pattern; points })
-      (patterns_for d)
-  in
-  {
-    ds_name = d.Workload.spec.Tin_datasets.Spec.name;
-    precompute_ms;
-    l2_rows = Tables.n_rows tables.Catalog.l2;
-    l3_rows = Tables.n_rows tables.Catalog.l3;
-    chain_rows = Option.map Tables.n_rows tables.Catalog.c2;
-    sweeps;
-    obs = obs_snapshot scale d tables budget_ms;
-  }
-
-let per_s instances ms = if ms > 0.0 then float_of_int instances /. (ms /. 1000.0) else 0.0
-
-let speedup_vs_1 points point value_of =
-  match List.find_opt (fun p -> p.jobs = 1) points with
-  | Some base when value_of base > 0.0 -> value_of point /. value_of base
-  | _ -> 1.0
-
-(* --- JSON (hand-rolled, like BENCH_flow.json) --- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
-let write_json path ~scale_name results =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"benchmark\": \"pattern_search\",\n";
-  add "  \"scale\": \"%s\",\n" (json_escape scale_name);
-  add "  \"domains_available\": %d,\n" (Batch.recommended_jobs ());
-  add "  \"datasets\": [\n";
-  List.iteri
-    (fun i r ->
-      add "    {\n";
-      add "      \"name\": \"%s\",\n" (json_escape r.ds_name);
-      add "      \"table_rows\": { \"l2\": %d, \"l3\": %d%s },\n" r.l2_rows r.l3_rows
-        (match r.chain_rows with Some c -> Printf.sprintf ", \"chains\": %d" c | None -> "");
-      add "      \"precompute\": [\n";
-      let pre1 = try List.assoc 1 r.precompute_ms with Not_found -> 0.0 in
-      List.iteri
-        (fun j (jobs, ms) ->
-          add "        { \"jobs\": %d, \"wall_ms\": %s, \"speedup_vs_1\": %s }%s\n" jobs
-            (json_float ms)
-            (json_float (if ms > 0.0 && pre1 > 0.0 then pre1 /. ms else 1.0))
-            (if j < List.length r.precompute_ms - 1 then "," else ""))
-        r.precompute_ms;
-      add "      ],\n";
-      add "      \"patterns\": [\n";
-      List.iteri
-        (fun j s ->
-          add "        { \"name\": \"%s\", \"runs\": [\n" (json_escape s.pattern);
-          List.iteri
-            (fun k p ->
-              let gb_per_s = per_s p.gb_instances p.gb_ms in
-              let pb_per_s = per_s p.pb_instances p.pb_ms in
-              add
-                "          { \"jobs\": %d, \"gb_ms\": %s, \"gb_instances\": %d, \
-                 \"gb_truncated\": %b, \"gb_per_s\": %s, \"gb_speedup_vs_1\": %s, \"pb_ms\": \
-                 %s, \"pb_instances\": %d, \"pb_per_s\": %s, \"pb_speedup_vs_1\": %s }%s\n"
-                p.jobs (json_float p.gb_ms) p.gb_instances p.gb_truncated (json_float gb_per_s)
-                (json_float (speedup_vs_1 s.points p (fun q -> per_s q.gb_instances q.gb_ms)))
-                (json_float p.pb_ms) p.pb_instances (json_float pb_per_s)
-                (json_float (speedup_vs_1 s.points p (fun q -> per_s q.pb_instances q.pb_ms)))
-                (if k < List.length s.points - 1 then "," else ""))
-            s.points;
-          add "        ] }%s\n" (if j < List.length r.sweeps - 1 then "," else ""))
-        r.sweeps;
-      add "      ],\n";
-      add "      \"obs\": { %s }\n"
-        (String.concat ", "
-           (List.map (fun (n, v) -> Printf.sprintf "\"%s\": %d" (json_escape n) v) r.obs));
-      add "    }%s\n" (if i < List.length results - 1 then "," else ""))
-    results;
-  add "  ]\n";
-  add "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc
-
-let sweep_table r =
-  Table.print
-    ~title:(Printf.sprintf "Parallel pattern search on %s (speedup vs jobs=1)" r.ds_name)
-    ~header:[ "Pattern"; "jobs"; "GB"; "GB inst/s"; "GB speedup"; "PB"; "PB speedup" ]
-    (List.concat_map
-       (fun s ->
-         List.map
-           (fun p ->
-             [
-               s.pattern;
-               string_of_int p.jobs;
-               Table.fmt_ms p.gb_ms;
-               Printf.sprintf "%.0f" (per_s p.gb_instances p.gb_ms);
-               Printf.sprintf "%.2fx" (speedup_vs_1 s.points p (fun q -> per_s q.gb_instances q.gb_ms));
-               Table.fmt_ms p.pb_ms;
-               Printf.sprintf "%.2fx" (speedup_vs_1 s.points p (fun q -> per_s q.pb_instances q.pb_ms));
-             ])
-           s.points)
-       r.sweeps)
-
-let run_sweep ?(json = "BENCH_pattern.json") ~scale_name scale datasets =
-  Printf.printf "Sweeping pattern search over job counts (%s) on %d domains...\n%!"
-    (String.concat "/" (List.map string_of_int (job_counts ())))
-    (Batch.recommended_jobs ());
-  let results =
-    List.map
-      (fun d ->
-        Printf.printf "  %s%!" d.Workload.spec.Tin_datasets.Spec.name;
-        let r = sweep_dataset scale d in
-        Printf.printf " ... done\n%!";
-        r)
-      datasets
-  in
-  print_newline ();
-  List.iter
-    (fun r ->
-      sweep_table r;
-      print_newline ())
-    results;
-  write_json json ~scale_name results;
-  Printf.printf "Pattern benchmark written to %s\n" json

@@ -8,7 +8,7 @@
      verify      differential correctness check / fuzzer
      generate    write a synthetic dataset to CSV
      convert     CSV <-> binary snapshot (.tinb)
-     bench-check diff benchmark JSON against the committed baseline
+     obs         offline trace analysis
      dot         render a CSV network to GraphViz
 
    Every subcommand that reads a network auto-detects CSV vs .tinb. *)
@@ -273,6 +273,47 @@ let with_obs ~cmd o run =
         raise e
   end
 
+(* --- terminals --- *)
+
+(* The one terminal check of every subcommand that takes
+   --source/--sink: an unknown vertex, equal terminals or a network
+   with no synthetic terminal to attach is reported here, with exit
+   code 1, before any oracle or solver runs.  A terminal left out
+   falls back to the synthetic super-source/sink (Figure 4), which
+   never wires a pinned terminal to the opposite synthetic one;
+   [~split] measures the flow from a vertex back to itself. *)
+let resolve_terminals ?split g ~source ~sink =
+  let given = List.filter_map Fun.id [ split; source; sink ] in
+  let resolved =
+    match List.find_opt (fun v -> not (Graph.mem_vertex g v)) given with
+    | Some v -> Error (Printf.sprintf "vertex %d is not in the network" v)
+    | None -> (
+        match (split, source, sink) with
+        | Some v, _, _ ->
+            let ep = Endpoints.split g ~vertex:v in
+            Ok (ep.Endpoints.graph, ep.Endpoints.source, ep.Endpoints.sink)
+        | None, Some s, Some t when s = t ->
+            Error
+              (Printf.sprintf
+                 "source and sink are both vertex %d\nhint: tinflow flow --split %d measures \
+                  the flow from the vertex back to itself" s s)
+        | None, Some s, Some t -> Ok (g, s, t)
+        | None, _, _ -> (
+            try
+              let ep = Endpoints.add_synthetic ?source ?sink g in
+              Ok (ep.Endpoints.graph, ep.Endpoints.source, ep.Endpoints.sink)
+            with Invalid_argument msg ->
+              Error
+                (Printf.sprintf
+                   "%s\nhint: pass explicit --source/--sink vertices, or measure a round trip \
+                    with tinflow flow --split VERTEX" msg)))
+  in
+  Result.map_error
+    (fun msg ->
+      prerr_endline ("tinflow: " ^ msg);
+      1)
+    resolved
+
 (* --- flow --- *)
 
 let method_conv =
@@ -312,45 +353,8 @@ let flow_cmd =
   let run file source sink split meth obs =
     setup_logs ();
     with_obs ~cmd:"flow" obs @@ fun () ->
-    let g = load_graph file in
-    let missing v = Error (Printf.sprintf "vertex %d is not in the network" v) in
-    let endpoints =
-      match split with
-      | Some v when not (Graph.mem_vertex g v) -> missing v
-      | Some v ->
-          let ep = Endpoints.split g ~vertex:v in
-          Ok (ep.Endpoints.graph, ep.Endpoints.source, ep.Endpoints.sink)
-      | None -> (
-          match (source, sink) with
-          | Some s, Some t -> Ok (g, s, t)
-          | _ -> (
-              try
-                let ep = Endpoints.add_synthetic g in
-                let s = Option.value ~default:ep.Endpoints.source source in
-                let t = Option.value ~default:ep.Endpoints.sink sink in
-                Ok (ep.Endpoints.graph, s, t)
-              with Invalid_argument msg ->
-                Error
-                  (Printf.sprintf
-                     "%s\nhint: pass explicit --source/--sink vertices, or --split VERTEX to \
-                      measure a round trip" msg)))
-    in
-    (* Every method needs two distinct terminals in the graph it runs
-       on. *)
-    let distinct_terminals (g, s, t) =
-      if not (Graph.mem_vertex g s) then missing s
-      else if not (Graph.mem_vertex g t) then missing t
-      else if s = t then
-        Error
-          (Printf.sprintf
-             "source and sink are both vertex %d\nhint: --split %d measures the flow from the \
-              vertex back to itself" s s)
-      else Ok (g, s, t)
-    in
-    match Result.bind endpoints distinct_terminals with
-    | Error msg ->
-        prerr_endline ("tinflow: " ^ msg);
-        1
+    match resolve_terminals ?split (load_graph file) ~source ~sink with
+    | Error code -> code
     | Ok (g, source, sink) ->
     (match meth with
     | Some m ->
@@ -457,7 +461,9 @@ let paths_cmd =
   let run file source sink top obs =
     setup_logs ();
     with_obs ~cmd:"paths" obs @@ fun () ->
-    let g = load_graph file in
+    match resolve_terminals (load_graph file) ~source:(Some source) ~sink:(Some sink) with
+    | Error code -> code
+    | Ok (g, source, sink) ->
     let value, routes = Tin_core.Decompose.max_flow_paths g ~source ~sink in
     Printf.printf "maximum flow: %g across %d temporal routes\n" value (List.length routes);
     List.sort
@@ -537,7 +543,9 @@ let profile_cmd =
   let run file source sink greedy obs =
     setup_logs ();
     with_obs ~cmd:"profile" obs @@ fun () ->
-    let g = load_graph file in
+    match resolve_terminals (load_graph file) ~source:(Some source) ~sink:(Some sink) with
+    | Error code -> code
+    | Ok (g, source, sink) ->
     let profile =
       if greedy then Tin_core.Window.greedy_profile g ~source ~sink
       else Tin_core.Window.max_flow_profile g ~source ~sink
@@ -827,21 +835,8 @@ let verify_cmd =
     Option.iter (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755) dump;
     match network with
     | Some file -> (
-        let g = load_graph file in
-        match
-          match (source, sink) with
-          | Some s, Some t -> Ok (g, s, t)
-          | _ -> (
-              try
-                let ep = Endpoints.add_synthetic g in
-                let s = Option.value ~default:ep.Endpoints.source source in
-                let t = Option.value ~default:ep.Endpoints.sink sink in
-                Ok (ep.Endpoints.graph, s, t)
-              with Invalid_argument msg -> Error msg)
-        with
-        | Error msg ->
-            prerr_endline ("tinflow: " ^ msg);
-            1
+        match resolve_terminals (load_graph file) ~source ~sink with
+        | Error code -> code
         | Ok (g, source, sink) ->
             let outcome = Verify.check ~extra g ~source ~sink in
             print_outcome outcome;
@@ -969,137 +964,6 @@ let convert_cmd =
           re-sorting")
     Term.(const run $ input $ output $ obs_term)
 
-(* --- bench-check --- *)
-
-let bench_check_cmd =
-  let module Json = Tin_util.Json in
-  let module Regress = Tin_util.Regress in
-  let files =
-    Arg.(
-      value
-      & pos_all string
-          [ "BENCH_flow.json"; "BENCH_pattern.json"; "BENCH_ingest.json"; "BENCH_provenance.json" ]
-      & info [] ~docv:"BENCH.json"
-          ~doc:
-            "Benchmark documents to check (default: BENCH_flow.json BENCH_pattern.json \
-             BENCH_ingest.json BENCH_provenance.json in the current directory).")
-  in
-  let baseline =
-    Arg.(
-      value
-      & opt string "bench/baseline"
-      & info [ "baseline" ] ~docv:"DIR"
-          ~doc:"Directory holding the committed baseline documents (matched by file name).")
-  in
-  let tolerance =
-    Arg.(
-      value
-      & opt float 15.0
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:"Relative noise tolerance in percent (default 15).")
-  in
-  let update =
-    Arg.(
-      value & flag
-      & info [ "update-baseline" ]
-          ~doc:"Copy the given documents into the baseline directory instead of checking.")
-  in
-  let read_file path =
-    try Ok (In_channel.with_open_bin path In_channel.input_all)
-    with Sys_error msg -> Error msg
-  in
-  let run files baseline tolerance update obs =
-    setup_logs ();
-    with_obs ~cmd:"bench-check" obs @@ fun () ->
-    if tolerance < 0.0 || Float.is_nan tolerance then begin
-      prerr_endline "tinflow: --tolerance must be non-negative";
-      exit 2
-    end;
-    if update then begin
-      if not (Sys.file_exists baseline) then Sys.mkdir baseline 0o755;
-      let code = ref 0 in
-      List.iter
-        (fun f ->
-          match read_file f with
-          | Error msg ->
-              prerr_endline ("tinflow: " ^ msg);
-              code := 2
-          | Ok contents -> (
-              (* Parse before committing: a baseline that bench-check
-                 itself cannot read is worse than none. *)
-              match Json.parse contents with
-              | Error msg ->
-                  Printf.eprintf "tinflow: %s: %s\n" f msg;
-                  code := 2
-              | Ok _ ->
-                  let dst = Filename.concat baseline (Filename.basename f) in
-                  Out_channel.with_open_bin dst (fun oc ->
-                      Out_channel.output_string oc contents);
-                  Printf.printf "baseline updated: %s -> %s\n" f dst))
-        files;
-      !code
-    end
-    else begin
-      let failures = ref 0 and missing = ref 0 in
-      List.iter
-        (fun f ->
-          let base_path = Filename.concat baseline (Filename.basename f) in
-          if not (Sys.file_exists base_path) then begin
-            Printf.printf "%s: no baseline at %s (run with --update-baseline to create it)\n" f
-              base_path;
-            incr missing
-          end
-          else
-            match (read_file base_path, read_file f) with
-            | Error msg, _ | _, Error msg ->
-                prerr_endline ("tinflow: " ^ msg);
-                exit 2
-            | Ok base_raw, Ok cur_raw -> (
-                match (Json.parse base_raw, Json.parse cur_raw) with
-                | Error msg, _ ->
-                    Printf.eprintf "tinflow: %s: %s\n" base_path msg;
-                    exit 2
-                | _, Error msg ->
-                    Printf.eprintf "tinflow: %s: %s\n" f msg;
-                    exit 2
-                | Ok base_doc, Ok cur_doc ->
-                    let rows =
-                      Regress.compare_docs ~tolerance_pct:tolerance ~baseline:base_doc
-                        ~current:cur_doc ()
-                    in
-                    print_string
-                      (Regress.render_table
-                         ~title:
-                           (Printf.sprintf "%s vs %s (tolerance %g%%)" f base_path tolerance)
-                         rows);
-                    let regressed = Regress.regressed rows in
-                    failures := !failures + List.length regressed;
-                    Event.emit "bench_check.result"
-                      ~fields:
-                        [
-                          ("file", Event.str f);
-                          ("metrics", string_of_int (List.length rows));
-                          ("regressed", string_of_int (List.length regressed));
-                        ]))
-        files;
-      if !failures > 0 then begin
-        Printf.eprintf "tinflow: bench-check: %d metric(s) regressed beyond tolerance\n"
-          !failures;
-        1
-      end
-      else begin
-        if !missing = 0 then print_endline "bench-check: ok";
-        0
-      end
-    end
-  in
-  Cmd.v
-    (Cmd.info "bench-check"
-       ~doc:
-         "Compare fresh benchmark JSON documents against the committed baseline and fail on \
-          regressions beyond a noise tolerance")
-    Term.(const run $ files $ baseline $ tolerance $ update $ obs_term)
-
 (* --- obs report --- *)
 
 let obs_report_cmd =
@@ -1122,8 +986,7 @@ let obs_report_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:
             "Also write the report as JSON (schema tinflow.obs.report/v1) to $(docv); '-' \
-             writes it to stdout instead of the human tables.  The _ms field naming makes a \
-             report diffable with $(b,tinflow bench-check).")
+             writes it to stdout instead of the human tables.")
   in
   let run trace top json obs =
     setup_logs ();
@@ -1203,7 +1066,6 @@ let () =
             verify_cmd;
             generate_cmd;
             convert_cmd;
-            bench_check_cmd;
             obs_cmd;
             dot_cmd;
           ]))

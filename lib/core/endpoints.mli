@@ -17,13 +17,21 @@
 
 type endpoints = { graph : Graph.t; source : Graph.vertex; sink : Graph.vertex }
 
-val add_synthetic : Graph.t -> endpoints
+val add_synthetic : ?source:Graph.vertex -> ?sink:Graph.vertex -> Graph.t -> endpoints
 (** Returns a graph with exactly one source and one sink.  If the
     input already has a unique source (resp. sink), no vertex is added
     on that side.  Fresh vertex ids are chosen above the current
-    maximum.  @raise Invalid_argument on an empty graph or one with no
-    source or no sink vertex (i.e. a graph where every vertex lies on
-    a cycle). *)
+    maximum.
+
+    [?source] (resp. [?sink]) pins that terminal to a vertex of the
+    graph: no synthetic vertex is added on its side, and the pinned
+    vertex is left out of the opposite synthetic terminal's feeders,
+    so a pinned source that is also one of the graph's sinks is not
+    wired to the super-sink by an infinite edge.
+    @raise Invalid_argument on an empty graph, on a pinned vertex not
+    in the graph, or when a synthetic side has no vertex to attach
+    (every vertex lies on a cycle, or the only candidate is the pinned
+    opposite terminal). *)
 
 val split : Graph.t -> vertex:Graph.vertex -> endpoints
 (** [split g ~vertex:a] replaces [a] by a source half [s] (with [a]'s

@@ -56,8 +56,8 @@ val solve :
     path.  Flow LPs are origin-feasible box LPs, so
     {!Tin_lp.Problem.solve} runs the sparse revised simplex; [dense]
     (default [false]) forces the row-based two-phase simplex instead,
-    the independent reference that the verifier and the solver
-    benchmark ([bench/main.exe solvers]) compare it against. *)
+    the independent reference that the verifier's [lp:dense] oracle
+    and the tests compare it against. *)
 
 val solve_detailed :
   ?dense:bool ->

@@ -54,8 +54,7 @@ val solve :
     Any other problem goes to the dense two-phase {!Simplex}, with
     finite upper bounds as explicit rows.  [dense] (default [false])
     sends every problem to {!Simplex}: the independent reference the
-    verifier, the solver benchmark and the tests compare {!Sparse}
-    against.
+    verifier and the tests compare {!Sparse} against.
 
     [metrics] accumulates the backend's work counts (iterations,
     pivots, bound flips, refactorizations) into the given record; the

@@ -266,7 +266,7 @@ module Runtime : sig
       pages) when that file exists (Linux).  [runtime_peak_rss_bytes]
       is max-tracking: it holds the largest [runtime_rss_bytes] seen
       since the last {!reset}, so the high-water mark survives later,
-      smaller samples (the load benchmark reports it per stage).
+      smaller samples.
       Rates (allocation rate, collections/s) are computed scrape-side
       from successive samples.  Like every probe, a no-op while
       {!enabled} is false. *)

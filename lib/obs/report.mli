@@ -81,10 +81,9 @@ val to_json : t -> string
     dur_ms, self_ms}], "domains": [{tid, spans, busy_ms, utilization}],
     "utilization": {domains, mean}, "chunks": {count, mean_ms, min_ms,
     max_ms, stddev_ms, imbalance, per_domain} | null, "self_times":
-    [{name, count, self_ms, max_self_ms}]}].  Field names use the
-    [_ms] convention so {!Tin_util.Regress} classifies them as
-    lower-is-better when a report is diffed with [tinflow
-    bench-check]. *)
+    [{name, count, self_ms, max_self_ms}]}].  Durations are in
+    milliseconds and carry an [_ms] suffix; perfbench's self-test reads
+    [self_times] to check its per-layer split. *)
 
 val render : t -> string
 (** Human tables: critical path, per-domain utilization, chunk

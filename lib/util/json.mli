@@ -1,7 +1,7 @@
 (** Minimal JSON support: a read-only parser for the machine-readable
-    artifacts this repository itself writes (the [BENCH_*.json] bench
-    results, the observability exports), and the string escaping the
-    hand-rolled writers share.
+    documents this repository itself reads (the observability exports
+    and trace files, the daemon's JSON-lines ingest), and the string
+    escaping the hand-rolled writers share.
 
     Deliberately not a general-purpose JSON library (the repo has no
     JSON dependency by design): no streaming, the whole document is in

@@ -107,6 +107,67 @@ let test_flow_bad_endpoints () =
         [ ""; "-m greedy"; "-m lp"; "-m pre"; "-m presim"; "-m timeexp" ];
       Alcotest.(check (list string)) "no flight dump" [] (Array.to_list (Sys.readdir dir)))
 
+(* Every subcommand that takes terminals shares flow's check: an
+   unknown or repeated vertex exits 1 with a message naming it, before
+   any oracle or solve runs (verify used to shrink forever on an
+   unknown source; paths and profile used to exit 125 or print an
+   all-zero profile). *)
+let test_terminal_check_every_subcommand () =
+  let forms =
+    [
+      ("-s 9999 -t 1", "vertex 9999");
+      ("-s 1 -t 9999", "vertex 9999");
+      ("-s 1 -t 1", "vertex 1");
+    ]
+  in
+  List.iter
+    (fun (cmd, forms) ->
+      List.iter
+        (fun (form, needle) ->
+          let args = Printf.sprintf "%s %s %s" cmd (Filename.quote csv) form in
+          let code, out = run_capture args in
+          if code <> 1 || not (contains out needle) then
+            Alcotest.failf "%s: exit %d, expected 1 naming %s:\n%s" args code needle out)
+        forms)
+    [
+      ("verify", ("-s 9999", "vertex 9999") :: ("-t 9999", "vertex 9999") :: forms);
+      ("paths", forms);
+      ("profile", forms);
+      ("profile --greedy", forms);
+    ]
+
+(* A pinned source with out-degree 0 is one of the network's sinks; the
+   synthetic super-sink must not collect it along an infinite edge
+   (that printed "greedy flow: inf" and the engine's big-M as the
+   maximum).  Symmetrically for a pinned sink with in-degree 0. *)
+let test_flow_pinned_terminal_not_fed () =
+  let net = Filename.temp_file "tinflow_btc" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove net)
+    (fun () ->
+      let _ =
+        check_ok "generate bitcoin"
+          (run_capture (Printf.sprintf "generate %s --shape bitcoin --factor 0.02 --seed 7" net))
+      in
+      let g = Tin_graph.Io.load_graph net in
+      let pick degree =
+        match List.find_opt (fun v -> degree g v = 0) (Graph.vertices g) with
+        | Some v -> v
+        | None -> Alcotest.fail "no vertex of degree 0 on that side"
+      in
+      List.iter
+        (fun form ->
+          let out = check_ok ("flow " ^ form) (run_capture (Printf.sprintf "flow %s %s" net form)) in
+          let greedy, maximum =
+            Scanf.sscanf out "greedy flow: %f maximum flow: %f" (fun a b -> (a, b))
+          in
+          if not (Float.is_finite greedy && Float.is_finite maximum && greedy <= maximum +. 1e-9)
+          then Alcotest.failf "flow %s: greedy %g, maximum %g" form greedy maximum)
+        [
+          Printf.sprintf "--source %d" (pick Graph.out_degree);
+          Printf.sprintf "--sink %d" (pick Graph.in_degree);
+        ])
+
 (* Figure 1(a) of the paper (s = 0, x = 1, y = 2, z = 3, t = 5):
    greedy flow 2, maximum flow 5.  The LP method and the default
    engine must print the same maximum flow. *)
@@ -309,8 +370,6 @@ let test_listen_announces_port () =
   Alcotest.(check bool) "endpoint announced" true
     (contains out "serving /metrics, /metrics.json and /healthz on port")
 
-let write_file path contents = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
-
 (* --- serve daemon end to end --------------------------------------- *)
 
 let http_request ~port request =
@@ -475,55 +534,6 @@ let test_convert_bad_input () =
   Alcotest.(check bool) "nonzero exit" true (code <> 0);
   Alcotest.(check bool) "names the format" true (contains out "unknown output format")
 
-let test_bench_check () =
-  let dir = Filename.temp_file "tinflow_bench" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let baseline = Filename.concat dir "baseline" in
-  let cur = Filename.concat dir "BENCH_t.json" in
-  Fun.protect
-    ~finally:(fun () ->
-      let rm_dir d =
-        if Sys.file_exists d then begin
-          Array.iter (fun n -> Sys.remove (Filename.concat d n)) (Sys.readdir d);
-          Sys.rmdir d
-        end
-      in
-      rm_dir baseline;
-      rm_dir dir)
-    (fun () ->
-      write_file cur {|{"wall_ms": 100.0, "iters": 10}|};
-      let args extra = Printf.sprintf "bench-check --baseline %s%s %s" baseline extra cur in
-      (* Missing baseline: informational, not a failure. *)
-      let out = check_ok "bench-check missing baseline" (run_capture (args "")) in
-      Alcotest.(check bool) "explains the fix" true (contains out "--update-baseline");
-      (* Record the baseline, then an identical run is clean. *)
-      let _ = check_ok "bench-check --update-baseline" (run_capture (args " --update-baseline")) in
-      Alcotest.(check bool) "baseline written" true
-        (Sys.file_exists (Filename.concat baseline "BENCH_t.json"));
-      let out = check_ok "bench-check clean" (run_capture (args "")) in
-      Alcotest.(check bool) "clean verdict" true (contains out "within tolerance");
-      (* A +100% wall-clock regression fails with a per-metric table. *)
-      write_file cur {|{"wall_ms": 200.0, "iters": 10}|};
-      let code, out = run_capture (args "") in
-      Alcotest.(check int) "regression exits 1" 1 code;
-      Alcotest.(check bool) "metric named" true (contains out "wall_ms");
-      Alcotest.(check bool) "status shown" true (contains out "REGRESSED");
-      (* An improvement beyond tolerance is not a failure. *)
-      write_file cur {|{"wall_ms": 50.0, "iters": 10}|};
-      let out = check_ok "bench-check improved" (run_capture (args "")) in
-      Alcotest.(check bool) "improvement flagged" true (contains out "improved");
-      (* A wider tolerance absorbs the deviation. *)
-      write_file cur {|{"wall_ms": 110.0, "iters": 10}|};
-      let _ = check_ok "bench-check tolerant" (run_capture (args " --tolerance 20")) in
-      (* Unparsable input and bad flags are usage errors, not crashes. *)
-      write_file cur "not json";
-      let code, _ = run_capture (args "") in
-      Alcotest.(check int) "bad JSON exits 2" 2 code;
-      write_file cur {|{"wall_ms": 100.0}|};
-      let code, _ = run_capture (args " --tolerance=-3") in
-      Alcotest.(check int) "negative tolerance exits 2" 2 code)
-
 let () =
   if not (Sys.file_exists exe) then begin
     print_endline "tinflow binary not found; skipping CLI integration tests";
@@ -543,6 +553,10 @@ let () =
               Alcotest.test_case "flow (split, method)" `Quick test_flow_split_and_method;
               Alcotest.test_case "flow -m lp = presim" `Quick test_flow_lp_method;
               Alcotest.test_case "flow bad endpoints" `Quick test_flow_bad_endpoints;
+              Alcotest.test_case "terminal check on every subcommand" `Quick
+                test_terminal_check_every_subcommand;
+              Alcotest.test_case "flow pinned terminal not fed" `Quick
+                test_flow_pinned_terminal_not_fed;
               Alcotest.test_case "paths" `Quick test_paths;
               Alcotest.test_case "provenance" `Quick test_provenance;
               Alcotest.test_case "profile" `Quick test_profile;
@@ -563,6 +577,5 @@ let () =
               Alcotest.test_case "serve daemon end to end" `Quick test_serve_daemon_e2e;
               Alcotest.test_case "convert round-trip" `Quick test_convert_roundtrip;
               Alcotest.test_case "convert bad output format" `Quick test_convert_bad_input;
-              Alcotest.test_case "bench-check gate" `Quick test_bench_check;
             ] );
         ])

@@ -53,6 +53,56 @@ let test_add_synthetic_all_cyclic () =
     (Invalid_argument "Endpoints.add_synthetic: no source vertex (all on cycles)") (fun () ->
       ignore (Endpoints.add_synthetic g))
 
+(* Figure 4 plus a third source (6) and sink (5), with one terminal
+   pinned.  A pinned source with out-degree 0 (z = 3) is one of the
+   graph's sinks: it must not feed the super-sink, or the flow becomes
+   infinite.  Symmetrically a pinned sink with in-degree 0 (x = 1)
+   must not be fed by the super-source. *)
+let fig4 =
+  Graph.of_edges
+    [
+      (1, 3, [ (1.0, 5.0) ]);
+      (2, 3, [ (2.0, 3.0) ]);
+      (2, 4, [ (5.0, 1.0) ]);
+      (2, 5, [ (6.0, 2.0) ]);
+      (6, 4, [ (7.0, 1.0) ]);
+    ]
+
+let pinned_flows ep =
+  let g = ep.Endpoints.graph and source = ep.Endpoints.source and sink = ep.Endpoints.sink in
+  ( Pipeline.compute Pipeline.Greedy g ~source ~sink,
+    Pipeline.max_flow g ~source ~sink )
+
+let test_add_synthetic_pinned () =
+  let ep = Endpoints.add_synthetic ~source:1 fig4 in
+  Alcotest.(check int) "pinned source kept" 1 ep.Endpoints.source;
+  Alcotest.(check int) "only a super-sink added" (Graph.n_vertices fig4 + 1)
+    (Graph.n_vertices ep.Endpoints.graph);
+  let greedy, maximum = pinned_flows ep in
+  Check.check_flow "greedy from x" 5.0 greedy;
+  Check.check_flow "maximum from x" 5.0 maximum;
+  List.iter
+    (fun (name, ep, terminal, degree) ->
+      Alcotest.(check int) (name ^ ": not wired to the synthetic terminal") 0
+        (degree ep.Endpoints.graph terminal);
+      let greedy, maximum = pinned_flows ep in
+      Alcotest.(check bool) (name ^ ": finite") true
+        (Float.is_finite greedy && Float.is_finite maximum);
+      Alcotest.(check bool) (name ^ ": greedy <= maximum") true (greedy <= maximum))
+    [
+      ("source z", Endpoints.add_synthetic ~source:3 fig4, 3, Graph.out_degree);
+      ("sink x", Endpoints.add_synthetic ~sink:1 fig4, 1, Graph.in_degree);
+    ]
+
+let test_add_synthetic_pinned_only_candidate () =
+  let g = Graph.of_edges [ (1, 2, [ (1.0, 5.0) ]) ] in
+  Alcotest.check_raises "pinned source is the only sink"
+    (Invalid_argument "Endpoints.add_synthetic: no sink vertex other than the pinned terminal")
+    (fun () -> ignore (Endpoints.add_synthetic ~source:2 g));
+  Alcotest.check_raises "unknown pinned vertex"
+    (Invalid_argument "Endpoints.add_synthetic: unknown vertex") (fun () ->
+      ignore (Endpoints.add_synthetic ~sink:7 g))
+
 let test_split_cycle () =
   (* Cyclic transaction 1 -> 2 -> 1: flow back to the seed. *)
   let g = Graph.of_edges [ (1, 2, [ (1.0, 5.0) ]); (2, 1, [ (2.0, 3.0) ]) ] in
@@ -97,6 +147,9 @@ let () =
           Alcotest.test_case "already single" `Quick test_add_synthetic_already_single;
           Alcotest.test_case "empty graph" `Quick test_add_synthetic_empty;
           Alcotest.test_case "all cyclic" `Quick test_add_synthetic_all_cyclic;
+          Alcotest.test_case "pinned terminal not fed" `Quick test_add_synthetic_pinned;
+          Alcotest.test_case "pinned only candidate" `Quick
+            test_add_synthetic_pinned_only_candidate;
         ] );
       ( "split",
         [

@@ -208,19 +208,39 @@ let prop_decomposition_conserves rng =
   Float.abs (value -. total) <= eps
   && List.for_all (fun p -> p.Decompose.amount > 0.0) paths
 
+(* A random graph with its terminals and a small entry budget (2-4,
+   the engine's minimum is 2), drawn after the graph so that buffers
+   spill into coarser origin groups on some cases. *)
+let rooted_case rng =
+  let g, source, sink = Gen.random_digraph rng in
+  (g, source, sink, 2 + Prng.int rng 3)
+
 let prop_proportional_totals_equal_greedy rng =
   (* The Proportional run rooted at the source, over the Compact.t of
      a random graph, absorbs at the sink exactly (Float.equal, not
      approx) what the greedy scan over the Graph.t delivers, and holds
-     Greedy.buffers at every vertex. *)
-  let g, source, sink = Gen.random_digraph rng in
-  let r = run ~policy:Prov.Proportional ~source ~absorb:sink g in
-  Float.equal (Greedy.flow g ~source ~sink)
-       (match List.assoc_opt sink r.Prov.totals with Some m -> m | None -> 0.0)
-  && List.equal
-       (fun (v, a) (w, b) -> v = w && Float.equal a b)
-       (Greedy.buffers g ~source ~sink)
-       r.Prov.totals
+     Greedy.buffers at every vertex — under the default budget and
+     under a small one where buffers spill. *)
+  let g, source, sink, small = rooted_case rng in
+  let greedy = Greedy.buffers g ~source ~sink in
+  List.for_all
+    (fun budget ->
+      let r = run ~policy:Prov.Proportional ~budget ~source ~absorb:sink g in
+      Float.equal (Greedy.flow g ~source ~sink)
+        (match List.assoc_opt sink r.Prov.totals with Some m -> m | None -> 0.0)
+      && List.equal (fun (v, a) (w, b) -> v = w && Float.equal a b) greedy r.Prov.totals)
+    [ Prov.default_budget; small ]
+
+(* The small budgets of the property above do spill on its inputs, so
+   the exact totals are checked across spills too. *)
+let test_small_budgets_spill () =
+  let spilled =
+    List.init 200 (fun seed ->
+        let g, source, sink, budget = rooted_case (Prng.create ~seed) in
+        (run ~policy:Prov.Proportional ~budget ~source ~absorb:sink g).Prov.spills > 0)
+    |> List.filter Fun.id |> List.length
+  in
+  Alcotest.(check bool) (Printf.sprintf "%d of 200 cases spill" spilled) true (spilled > 0)
 
 let prop_policies_agree_on_totals rng =
   (* Selection policy decides *which* units move, never *how many*:
@@ -268,6 +288,7 @@ let () =
           Alcotest.test_case "budget spills to coarse groups" `Quick
             test_budget_spills_to_coarse_groups;
           Alcotest.test_case "source-rooted = greedy" `Quick test_rooted_matches_greedy;
+          Alcotest.test_case "small budgets spill" `Quick test_small_budgets_spill;
           Alcotest.test_case "drain after rounding" `Quick test_drain_after_rounding;
           Alcotest.test_case "trace callback" `Quick test_trace_callback;
           Alcotest.test_case "source = absorb rejected" `Quick test_source_eq_absorb_absent;
